@@ -24,7 +24,9 @@ from repro.backends.spec import StoreSpec
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.results import RunResult
 from repro.core.workload import SizeDistribution
-from repro.units import GB, MB
+from repro.db.database import DbConfig
+from repro.fs.filesystem import FsConfig
+from repro.units import DEFAULT_WRITE_REQUEST, GB, MB
 
 #: Scaled stand-ins for the paper's volumes.  The paper's 40 GB and
 #: 400 GB volumes at 10 MB objects hold 4 k / 40 k objects; our scaled
@@ -107,66 +109,49 @@ def run_curve(backend: str, sizes: SizeDistribution, *,
               reads_per_sample: int = 32,
               seed: int = 7,
               label: str = "",
-              **kwargs) -> RunResult:
+              write_request: int = DEFAULT_WRITE_REQUEST,
+              size_hints: bool = False,
+              fs_config: FsConfig | None = None,
+              db_config: DbConfig | None = None) -> RunResult:
     """Run one curve of one figure.
 
     A ``--store``/``--shards`` override on the command line replays the
     curve against that declarative spec instead of the figure's default
-    backend construction (the curve's backend fills an empty backend
-    part, so ``--store :reorder=clook`` applies one policy across a
-    multi-backend comparison).
+    backend (the curve's backend fills an empty backend part, so
+    ``--store :reorder=clook`` applies one policy across a
+    multi-backend comparison).  Either way the figure's own knobs —
+    ``fs_config``/``size_hints``/``--index`` for a filesystem,
+    ``db_config`` for a database — fold into the spec's options.
     """
-    kwargs.setdefault("index_kind", index_kind())
     store_text, shards = store_override()
-    if store_text is not None or shards > 0:
-        # Figure parameters arrive as parse *defaults*: explicit
-        # spec-text keys (volume=, write_request=, ...) win over them.
-        parse_defaults = {"volume_bytes": scaled(volume)}
-        if "write_request" in kwargs:
-            parse_defaults["write_request"] = kwargs.pop("write_request")
-        if kwargs.pop("store_data", False):
-            parse_defaults["store_data"] = True
-        spec = StoreSpec.parse(
-            store_text if store_text is not None else backend,
-            default_backend=backend,
-            **parse_defaults,
-        )
-        if shards > 0:
-            spec = replace(spec, shards=shards)
-        # Fold the legacy per-backend knobs the figure scripts pass
-        # into spec options so the two flag families compose.
-        kind = kwargs.pop("index_kind", None)
-        if kind is not None and spec.backend == "filesystem":
-            spec = spec.with_options(index_kind=kind)
-        if kwargs.pop("size_hints", False) and \
-                spec.backend == "filesystem":
-            spec = spec.with_options(size_hints=True)
-        kwargs.pop("fs_config", None)
-        kwargs.pop("db_config", None)
-        config = ExperimentConfig(
-            store=spec,
-            sizes=sizes,
-            occupancy=occupancy,
-            ages=ages,
-            reads_per_sample=reads_per_sample,
-            seed=seed,
-            label=label or f"{spec.backend}"
-                  f"{'x' + str(spec.shards) if spec.shards > 1 else ''}",
-            **kwargs,
-        )
-        return run_experiment(config)
-    config = ExperimentConfig(
-        backend=backend,
-        sizes=sizes,
+    # Figure parameters arrive as parse *defaults*: explicit spec-text
+    # keys (volume=, write_request=, ...) win over them.
+    spec = StoreSpec.parse(
+        store_text if store_text is not None else backend,
+        default_backend=backend,
         volume_bytes=scaled(volume),
+        write_request=write_request,
+    )
+    if shards > 0:
+        spec = replace(spec, shards=shards)
+    knobs: dict = {}
+    if spec.backend == "filesystem":
+        knobs = {"fs_config": fs_config, "index_kind": index_kind(),
+                 "size_hints": size_hints or None}
+    elif spec.backend == "database":
+        knobs = {"db_config": db_config}
+    # Unset knobs leave whatever the spec text says.
+    spec = spec.with_options(
+        **{key: value for key, value in knobs.items() if value is not None})
+    return run_experiment(ExperimentConfig(
+        store=spec,
+        sizes=sizes,
         occupancy=occupancy,
         ages=ages,
         reads_per_sample=reads_per_sample,
         seed=seed,
         label=label,
-        **kwargs,
-    )
-    return run_experiment(config)
+    ))
 
 
 def frag_series(result: RunResult) -> list[tuple[float, float]]:

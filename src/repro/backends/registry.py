@@ -3,11 +3,10 @@
 Each backend module registers a ``from_spec`` constructor with
 :func:`register_backend`, declaring its name, a one-line description
 (surfaced by ``python -m repro --list-backends``) and the options it
-accepts (name → converter).  Everything that used to be hand-maintained
-— the ``BACKENDS`` tuple, config validation, the ``make_store`` if/elif
-chain — now derives from the registry, so adding a backend is one file
-plus one decorator (see docs/architecture.md, "add a backend in one
-file").
+accepts (name → converter).  Backend names, CLI choices and option
+validation all derive from the registry, so adding a backend is one
+file plus one decorator (see docs/architecture.md, "add a backend in
+one file").
 
 :func:`build_store` is the single construction path:
 

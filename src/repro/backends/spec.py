@@ -1,13 +1,11 @@
 """Declarative store construction: :class:`StoreSpec`.
 
-The experiment driver used to special-case every backend (a hard-coded
-``BACKENDS`` tuple, an if/elif chain in ``make_store``, and one-off
-per-backend fields leaking into ``ExperimentConfig``).  A ``StoreSpec``
-replaces all of that with one value: backend name, volume geometry,
-typed per-backend options, a shared :class:`~repro.disk.policy.
-DevicePolicy`, and an optional shard layout.  The registry
-(:mod:`repro.backends.registry`) turns a spec into a live store;
-nothing above the backends layer needs to import a backend class.
+A ``StoreSpec`` is the one description of a store: backend name,
+volume geometry, typed per-backend options, a shared
+:class:`~repro.disk.policy.DevicePolicy`, and an optional shard layout.
+``ExperimentConfig.store`` holds one; the registry
+(:mod:`repro.backends.registry`) turns it into a live store, so nothing
+above the backends layer needs to import a backend class.
 
 Specs have a flag-friendly text form, used by ``--store``::
 

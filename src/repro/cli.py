@@ -45,14 +45,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.analysis.tables import render_series_table, render_table
-from repro.backends.registry import backend_descriptions
+from repro.backends.registry import backend_descriptions, backend_names
 from repro.backends.spec import StoreSpec
-from repro.core.experiment import (
-    BACKENDS,
-    ExperimentConfig,
-    run_experiment,
-)
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize, UniformSize
+from repro.errors import ReproError
 from repro.scenario.spec import ScenarioSpec, scenario_names
 from repro.units import MB, fmt_size, parse_size
 
@@ -149,18 +146,14 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="also write the results as JSON")
 
 
-def _store_spec_from(args: argparse.Namespace,
-                     backend: str) -> StoreSpec | None:
-    """The StoreSpec described by --store/--shards, or None.
+def _store_spec_from(args: argparse.Namespace, backend: str) -> StoreSpec:
+    """The StoreSpec described by --store/--shards/--size-hints.
 
     An explicit backend inside ``--store`` wins over the subcommand's
-    backend; ``--store :key=val`` keeps it.  ``--volume``,
-    ``--write-request``, and ``--size-hints`` still apply as defaults;
-    spec-text keys (``volume=``, ``write_request=``) win over them.
+    backend; ``--store :key=val`` (or no ``--store`` at all) keeps it.
+    ``--volume`` and ``--write-request`` apply as defaults; spec-text
+    keys (``volume=``, ``write_request=``) win over them.
     """
-    if (args.store is None and args.shards <= 0
-            and args.replicas <= 0 and args.faults is None):
-        return None
     spec = StoreSpec.parse(
         args.store if args.store is not None else backend,
         default_backend=backend,
@@ -180,7 +173,8 @@ def _store_spec_from(args: argparse.Namespace,
 
 def _config_from(args: argparse.Namespace,
                  backend: str) -> ExperimentConfig:
-    common = dict(
+    return ExperimentConfig(
+        store=_store_spec_from(args, backend),
         sizes=_build_sizes(args),
         scenario=(ScenarioSpec.parse(args.scenario)
                   if args.scenario else None),
@@ -190,16 +184,6 @@ def _config_from(args: argparse.Namespace,
         seed=args.seed,
         rebalance_ages=tuple(args.rebalance_ages),
         rebuild_ages=tuple(args.rebuild_ages),
-    )
-    spec = _store_spec_from(args, backend)
-    if spec is not None:
-        return ExperimentConfig(store=spec, **common)
-    return ExperimentConfig(
-        backend=backend,
-        volume_bytes=parse_size(args.volume),
-        write_request=parse_size(args.write_request),
-        size_hints=args.size_hints,
-        **common,
     )
 
 
@@ -365,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=False)
 
     run_parser = sub.add_parser("run", help="age one backend")
-    run_parser.add_argument("--backend", choices=BACKENDS,
+    # --backend X is sugar for --store X (an explicit --store wins).
+    run_parser.add_argument("--backend", choices=backend_names(),
                             default="filesystem")
     _add_run_arguments(run_parser)
     run_parser.set_defaults(func=cmd_run)
@@ -374,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="age several backends on the same workload"
     )
     compare_parser.add_argument(
-        "--against", nargs="+", choices=BACKENDS,
+        "--against", nargs="+", choices=backend_names(),
         default=["filesystem", "database"],
     )
     _add_run_arguments(compare_parser)
@@ -394,7 +379,13 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_list_backends()
     if args.command is None:
         parser.error("a subcommand is required (run, compare, backends)")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # Bad configurations and simulated-store failures are user
+        # errors: one line, no traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -89,14 +89,46 @@ class TestRun:
         assert sum(t["count"] for t in last["tenant_lat"].values()) \
             == last["scenario_lat"]["count"]
 
-    def test_bad_scenario_rejected(self):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            main([
-                "run", "--backend", "filesystem",
-                "--scenario", "cdn_churn:shards=4",
-                "--volume", "48M", "--ages", "0",
-            ])
+    def test_bad_scenario_rejected(self, capsys):
+        code = main([
+            "run", "--backend", "filesystem",
+            "--scenario", "cdn_churn:shards=4",
+            "--volume", "48M", "--ages", "0",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_zero_reads_fail_before_aging(self, capsys, monkeypatch):
+        # Rejected by the config itself, before the store is built.
+        import repro.core.experiment as experiment
+
+        def never(*args, **kwargs):
+            raise AssertionError("store built for a bad config")
+
+        monkeypatch.setattr(experiment, "build_store", never)
+        code = main([
+            "run", "--backend", "filesystem", "--volume", "64M",
+            "--object-size", "256K", "--ages", "0,1", "--reads", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("repro: error: reads_per_sample must be at "
+                       "least 1\n")
+
+    def test_storage_full_is_one_line(self, capsys):
+        # gfs's 64M chunks leave a 64M volume no room to age into.
+        code = main([
+            "run", "--backend", "gfs", "--volume", "64M",
+            "--object-size", "256K", "--ages", "0,1,2", "--reads", "16",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCompare:

@@ -4,12 +4,8 @@ import math
 
 import pytest
 
-from repro.core.experiment import (
-    BACKENDS,
-    ExperimentConfig,
-    make_store,
-    run_experiment,
-)
+from repro.backends.spec import StoreSpec
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.results import AgeSample, RunResult
 from repro.core.throughput import measure, measure_read_throughput
 from repro.core.workload import ConstantSize, WorkloadSpec, bulk_load
@@ -53,41 +49,36 @@ class TestMeasure:
 class TestExperimentConfig:
     def test_backend_validation(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(backend="oracle", sizes=ConstantSize(1 * MB))
+            ExperimentConfig(store=StoreSpec("oracle"),
+                             sizes=ConstantSize(1 * MB))
 
     def test_ages_must_ascend(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(backend="filesystem",
+            ExperimentConfig(store=StoreSpec("filesystem"),
                              sizes=ConstantSize(1 * MB),
                              ages=(2.0, 1.0))
 
+    def test_reads_per_sample_must_be_positive(self):
+        with pytest.raises(ConfigError, match="reads_per_sample"):
+            ExperimentConfig(store=StoreSpec("filesystem"),
+                             sizes=ConstantSize(1 * MB),
+                             reads_per_sample=0)
+
     def test_display_label(self):
-        cfg = ExperimentConfig(backend="filesystem",
-                               sizes=ConstantSize(10 * MB),
-                               volume_bytes=2 * 1024 * MB,
-                               occupancy=0.5)
+        cfg = ExperimentConfig(
+            store=StoreSpec("filesystem", volume_bytes=2 * 1024 * MB),
+            sizes=ConstantSize(10 * MB),
+            occupancy=0.5)
         assert "filesystem" in cfg.display_label()
         assert "10M" in cfg.display_label()
-
-    def test_make_store_all_backends(self):
-        # make_store is the deprecated shim; it must still build every
-        # registered backend (including the sharded composite).
-        for backend in BACKENDS:
-            cfg = ExperimentConfig(backend=backend,
-                                   sizes=ConstantSize(1 * MB),
-                                   volume_bytes=96 * MB)
-            with pytest.warns(DeprecationWarning):
-                store = make_store(cfg)
-            assert store.name
 
 
 class TestRunExperiment:
     @pytest.fixture(scope="class")
     def small_run(self):
         cfg = ExperimentConfig(
-            backend="filesystem",
+            store=StoreSpec("filesystem", volume_bytes=64 * MB),
             sizes=ConstantSize(512 * KB),
-            volume_bytes=64 * MB,
             occupancy=0.5,
             ages=(0.0, 1.0, 2.0),
             reads_per_sample=8,
@@ -116,9 +107,8 @@ class TestRunExperiment:
 
     def test_deterministic(self):
         cfg = ExperimentConfig(
-            backend="database",
+            store=StoreSpec("database", volume_bytes=32 * MB),
             sizes=ConstantSize(512 * KB),
-            volume_bytes=32 * MB,
             ages=(0.0, 1.0),
             reads_per_sample=4,
             seed=11,
@@ -133,9 +123,8 @@ class TestRunExperiment:
     def test_progress_callback(self):
         events = []
         cfg = ExperimentConfig(
-            backend="filesystem",
+            store=StoreSpec("filesystem", volume_bytes=32 * MB),
             sizes=ConstantSize(1 * MB),
-            volume_bytes=32 * MB,
             ages=(0.0,),
             reads_per_sample=2,
             seed=1,
@@ -199,42 +188,38 @@ class TestResults:
 
 
 class TestIndexKindAblation:
-    def test_make_store_honours_index_kind(self):
+    def test_build_store_honours_index_kind(self):
         from repro.alloc.freelist import FreeExtentIndex
         from repro.alloc.naive import NaiveFreeExtentIndex
         from repro.backends import build_store
 
-        base = dict(backend="filesystem", sizes=ConstantSize(64 * KB),
-                    volume_bytes=64 * MB)
-        tiered = build_store(ExperimentConfig(**base).resolved_spec())
+        spec = StoreSpec("filesystem", volume_bytes=64 * MB)
+        tiered = build_store(spec)
         assert isinstance(tiered.fs.free_index, FreeExtentIndex)
-        naive = build_store(
-            ExperimentConfig(**base, index_kind="naive").resolved_spec())
+        naive = build_store(spec.with_options(index_kind="naive"))
         assert isinstance(naive.fs.free_index, NaiveFreeExtentIndex)
 
     def test_index_kind_validated(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(backend="filesystem",
-                             sizes=ConstantSize(64 * KB),
-                             index_kind="bitmap")
+            ExperimentConfig(
+                store=StoreSpec("filesystem",
+                                options={"index_kind": "bitmap"}),
+                sizes=ConstantSize(64 * KB))
 
     def test_index_kind_in_run_config(self):
         from repro.fs.filesystem import FsConfig
 
-        config = ExperimentConfig(backend="filesystem",
-                                  sizes=ConstantSize(64 * KB),
-                                  index_kind="naive")
-        assert config.to_dict()["index_kind"] == "naive"
-        assert ExperimentConfig(
-            backend="filesystem", sizes=ConstantSize(64 * KB),
-        ).to_dict()["index_kind"] == "tiered"
+        def recorded(backend, **options):
+            return ExperimentConfig(
+                store=StoreSpec(backend, options=options),
+                sizes=ConstantSize(64 * KB),
+            ).to_dict()["index_kind"]
+
+        assert recorded("filesystem", index_kind="naive") == "naive"
+        assert recorded("filesystem") == "tiered"
         # Provenance follows the engine actually instantiated: an
         # fs_config-selected engine is recorded, and backends that never
         # touch the index record None rather than a misleading default.
-        assert ExperimentConfig(
-            backend="filesystem", sizes=ConstantSize(64 * KB),
-            fs_config=FsConfig(index_kind="naive"),
-        ).to_dict()["index_kind"] == "naive"
-        assert ExperimentConfig(
-            backend="database", sizes=ConstantSize(64 * KB),
-        ).to_dict()["index_kind"] is None
+        assert recorded("filesystem",
+                        fs_config=FsConfig(index_kind="naive")) == "naive"
+        assert recorded("database") is None

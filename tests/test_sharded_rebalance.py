@@ -194,7 +194,7 @@ class TestResumeAcrossRebalance:
             )
         with pytest.raises(ConfigError):
             ExperimentConfig(
-                backend="filesystem",
+                store=StoreSpec("filesystem"),
                 sizes=ConstantSize(256 * KB),
                 ages=(0.0, 2.0),
                 rebalance_ages=(2.0,),   # unsharded store

@@ -1,5 +1,5 @@
 """Tests for the store-spec API: DevicePolicy, StoreSpec, the backend
-registry, and the legacy ExperimentConfig/make_store deprecation shim.
+registry, and the run records an ExperimentConfig writes from its spec.
 """
 
 import pytest
@@ -17,14 +17,12 @@ from repro.backends import (
     build_store,
     resolve_spec,
 )
-from repro.core.experiment import ExperimentConfig, make_store, run_experiment
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.workload import ConstantSize
-from repro.db.database import DbConfig
 from repro.disk.device import BlockDevice, IoRequest
 from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
 from repro.errors import ConfigError
-from repro.fs.filesystem import FsConfig
 from repro.units import KB, MB
 
 SIMPLE_CLASSES = {
@@ -231,66 +229,6 @@ def _sizes():
     return ConstantSize(256 * KB)
 
 
-class TestDeprecationShim:
-    """Legacy ExperimentConfig fields + bare make_store still build
-    identical stores, with a DeprecationWarning."""
-
-    LEGACY = [
-        dict(backend="filesystem"),
-        dict(backend="filesystem", index_kind="naive", size_hints=True),
-        dict(backend="filesystem", fs_config=FsConfig(index_kind="naive")),
-        dict(backend="database"),
-        dict(backend="database", db_config=DbConfig(write_request=128 * KB)),
-        dict(backend="gfs"),
-        dict(backend="lfs"),
-    ]
-
-    @pytest.mark.parametrize("legacy", LEGACY,
-                             ids=lambda d: "-".join(map(str, d.values())))
-    def test_shim_builds_identical_store(self, legacy):
-        config = ExperimentConfig(sizes=_sizes(), volume_bytes=64 * MB,
-                                  **legacy)
-        with pytest.warns(DeprecationWarning):
-            shimmed = make_store(config)
-        direct = build_store(config.resolved_spec())
-        assert type(shimmed) is type(direct)
-        assert shimmed.name == direct.name
-
-    def test_legacy_and_spec_paths_agree(self):
-        legacy = ExperimentConfig(backend="filesystem", sizes=_sizes(),
-                                  volume_bytes=64 * MB,
-                                  index_kind="naive", size_hints=True)
-        via_spec = ExperimentConfig(
-            store=StoreSpec("filesystem", volume_bytes=64 * MB,
-                            options={"index_kind": "naive",
-                                     "size_hints": True}),
-            sizes=_sizes(), size_hints=False,
-        )
-        assert legacy.to_dict()["store"] == via_spec.to_dict()["store"]
-        assert legacy.effective_index_kind() == \
-            via_spec.effective_index_kind() == "naive"
-        a = build_store(legacy.resolved_spec())
-        b = build_store(via_spec.resolved_spec())
-        assert type(a) is type(b)
-        assert type(a.fs.free_index) is type(b.fs.free_index)
-
-    def test_spec_path_rejects_legacy_knobs(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(store=StoreSpec("filesystem"),
-                             sizes=_sizes(), index_kind="naive")
-        with pytest.raises(ConfigError):
-            ExperimentConfig(store=StoreSpec("lfs"), backend="gfs",
-                             sizes=_sizes())
-
-    def test_spec_path_derives_legacy_fields(self):
-        spec = StoreSpec("lfs", volume_bytes=96 * MB,
-                         write_request=128 * KB, shards=3)
-        config = ExperimentConfig(store=spec, sizes=_sizes())
-        assert config.backend == "lfs"
-        assert config.volume_bytes == 96 * MB
-        assert config.write_request == 128 * KB
-
-
 class TestRunRecords:
     def test_to_dict_serializes_resolved_spec(self):
         config = ExperimentConfig(
@@ -298,10 +236,15 @@ class TestRunRecords:
                 "lfs:reorder=clook,batch=16,volume=96M,shards=3"),
             sizes=_sizes(),
         )
-        record = config.to_dict()["store"]
+        flat = config.to_dict()
+        record = flat["store"]
         assert record["backend"] == "lfs"
         assert record["shards"] == 3
         assert record["policy"] == {"batch_size": 16, "reorder": "clook"}
+        # The flat keys derive from the same spec.
+        assert (flat["backend"], flat["volume_bytes"],
+                flat["write_request"], flat["size_hints"]) == \
+            ("lfs", 96 * MB, record["write_request"], False)
 
     def test_effective_index_kind_through_sharded_spec(self):
         config = ExperimentConfig(
@@ -309,9 +252,19 @@ class TestRunRecords:
                             options={"index_kind": "naive"}),
             sizes=_sizes(),
         )
-        assert config.effective_index_kind() == "naive"
+        assert config.to_dict()["index_kind"] == "naive"
         lfs = ExperimentConfig(store=StoreSpec("lfs"), sizes=_sizes())
-        assert lfs.effective_index_kind() is None
+        assert lfs.to_dict()["index_kind"] is None
+
+    @pytest.mark.parametrize("spec", [
+        StoreSpec("filesystem", options={"size_hints": True}),
+        StoreSpec("filesystem", shards=3, options={"size_hints": "true"}),
+        StoreSpec("sharded", options={"size_hints": True}),
+    ], ids=["plain", "shards", "sharded"])
+    def test_size_hints_recorded_from_resolved_spec(self, spec):
+        record = ExperimentConfig(store=spec, sizes=_sizes()).to_dict()
+        assert record["size_hints"] is True
+        assert record["store"]["options"]["size_hints"] is True
 
     def test_experiment_runs_over_sharded_spec(self):
         config = ExperimentConfig(
