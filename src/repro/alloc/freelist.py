@@ -18,14 +18,18 @@ and the augmentation contract:
   ``memmove``, instead of the flat list's O(n), and ``first_fit``/
   ``next_fit`` (including the ``min_start``/``max_start`` banded
   queries) use the augmentation to skip whole blocks that cannot
-  satisfy a request instead of scanning run by run.
+  satisfy a request instead of scanning run by run.  Mutations never
+  rescan a block: a carve that shrinks a block's unique longest run
+  leaves its summary stale, and ``first_fit`` rescans a stale block
+  only when its loop reaches it.
 * **Size tier** — power-of-two buckets (bucket *b* holds runs whose
   length has ``bit_length() == b``), each an unaugmented
   :class:`BlockedList` of ``(length, start)`` pairs, so a skewed
   workload landing every run in one bucket still pays only O(load)
   per mutation.  ``best_fit`` bisects one bucket and falls through to
   the next non-empty one; ``worst_fit``/``largest`` read the tail of
-  the highest non-empty bucket; ``runs_by_size_desc`` streams buckets
+  the highest non-empty bucket; ``largest_runs`` slices block tails
+  from the top bucket down and ``runs_by_size_desc`` streams buckets
   top-down — all without maintaining one global O(n) sorted list.
 * **Incremental accounting** — :attr:`total_free`, the run count, and
   the largest run are maintained under mutation, so reading them is
@@ -39,7 +43,9 @@ only a mid-run carve pays a delete plus two inserts.  ``run_at`` /
 ``run_starting_at`` / ``best_fit`` / ``worst_fit`` / ``largest`` are
 O(log n); ``first_fit`` / ``next_fit`` are O(log n) plus one scanned
 block per directory block whose max-run augmentation passes the size
-filter.  ``total_free`` and ``__len__`` are O(1).
+filter, plus one O(load) rescan per stale block they reach.
+``largest_runs(k)`` is O(k) plus one step per empty bucket below the
+top-bucket hint.  ``total_free`` and ``__len__`` are O(1).
 
 The public API and error semantics are identical to the naive engine:
 :class:`~repro.errors.CorruptionError` on double frees or overlapping
@@ -88,8 +94,9 @@ class FreeExtentIndex:
         #: run start -> run length (the O(1) length authority).
         self._len_by_start: dict[int, int] = {}
         # Address tier: run starts, augmented with the max run length
-        # per block.  Rescans pull lengths straight from the dict, so
-        # every mutation updates _len_by_start before the tier.
+        # per block.  Rescans of stale blocks (in first_fit) pull
+        # lengths straight from the dict, so every mutation updates
+        # _len_by_start and the tier together.
         self._addr = BlockedList(
             load=_LOAD,
             augment=MaxWeightAugmentation(self._len_by_start.__getitem__),
@@ -249,14 +256,15 @@ class FreeExtentIndex:
         so blocks with no fitting run are skipped without touching them.
         """
         lens = self._len_by_start
-        pred = self._addr.pred_lt(min_start)
+        addr = self._addr
+        pred = addr.pred_lt(min_start)
         if pred is not None:
             pred_end = pred + lens[pred]
             if pred_end > min_start and pred_end - min_start >= size:
                 return Extent(pred, lens[pred])
-        mins = self._addr.mins
-        blocks = self._addr.blocks
-        sums = self._addr.sums
+        mins = addr.mins
+        blocks = addr.blocks
+        sums = addr.sums
         nb = len(blocks)
         bi = bisect.bisect_right(mins, min_start) - 1
         if bi < 0:
@@ -270,7 +278,10 @@ class FreeExtentIndex:
             lo = pos if b == bi else 0
             if max_start is not None and block[lo] > max_start:
                 return None
-            if sums[b][0] < size:
+            summary = sums[b]
+            if summary is None:
+                summary = addr.summary(b)
+            if summary[0] < size:
                 continue
             for i in range(lo, len(block)):
                 s = block[i]
@@ -323,6 +334,26 @@ class FreeExtentIndex:
         self._btop = b
         length, start = buckets[b].last()
         return Extent(start, length)
+
+    def largest_runs(self, limit: int) -> list[tuple[int, int]]:
+        """The ``limit`` largest runs as ``(length, start)`` pairs.
+
+        Same order as :meth:`runs_by_size_desc` (ties on descending
+        start), without building an :class:`Extent` per run: the NTFS
+        run cache scans this once per allocation.
+        """
+        runs: list[tuple[int, int]] = []
+        if limit <= 0:
+            return runs
+        buckets = self._buckets
+        for b in range(self._btop, 0, -1):
+            for block in reversed(buckets[b].blocks):
+                need = limit - len(runs)
+                if len(block) >= need:
+                    runs.extend(reversed(block[-need:]))
+                    return runs
+                runs.extend(reversed(block))
+        return runs
 
     def runs_by_size_desc(self) -> Iterator[Extent]:
         """Free runs from largest to smallest (NTFS run-cache order)."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterator
+from itertools import islice
 
 from repro.alloc.extent import Extent
 from repro.errors import CorruptionError
@@ -186,6 +187,11 @@ class NaiveFreeExtentIndex:
             return None
         length, start = self._by_size[-1]
         return Extent(start, length)
+
+    def largest_runs(self, limit: int) -> list[tuple[int, int]]:
+        """The ``limit`` largest runs as ``(length, start)`` pairs."""
+        return [(run.length, run.start)
+                for run in islice(self.runs_by_size_desc(), max(limit, 0))]
 
     def runs_by_size_desc(self) -> Iterator[Extent]:
         """Free runs from largest to smallest (NTFS run-cache order)."""

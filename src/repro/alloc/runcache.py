@@ -27,8 +27,6 @@ Figure 2.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
 from repro.errors import AllocationError, ConfigError
@@ -69,31 +67,32 @@ class NtfsRunCache:
         Does not mutate the index.  Selection order per the paper's
         description: outer-band runs first (lowest offset), then the
         largest cached run (ties to the lower offset).  One pass over
-        the cached view — this sits on the aging hot path, once per
-        allocation.
+        the cached view as ``(length, start)`` pairs from the index's
+        ``largest_runs``, building only the :class:`Extent` it returns
+        — this sits on the aging hot path, once per allocation.
         """
         if size <= 0:
             raise ConfigError("allocation size must be positive")
         band_limit = self.outer_band_limit
-        best_band: Extent | None = None
-        best_large: Extent | None = None
-        for run in islice(self.index.runs_by_size_desc(), self.cache_size):
-            if run.length < size:
+        best_band: tuple[int, int] | None = None
+        best_large: tuple[int, int] | None = None
+        for run in self.index.largest_runs(self.cache_size):
+            length, start = run
+            if length < size:
                 # The cache is size-descending: nothing later fits.
                 break
-            if run.start < band_limit and \
-                    (best_band is None or run.start < best_band.start):
-                best_band = run
-            # best_large only matters while no band candidate exists.
-            # The cache arrives size-descending with ties on descending
-            # start, so later runs of equal length have *lower* starts
-            # and can still displace the incumbent.
-            if best_band is None and (
-                    best_large is None or
-                    (run.length, -run.start) >
-                    (best_large.length, -best_large.start)):
+            if start < band_limit:
+                if best_band is None or start < best_band[1]:
+                    best_band = run
+            elif best_band is None and (
+                    best_large is None or length == best_large[0]):
+                # best_large only matters while no band candidate
+                # exists.  The cache arrives size-descending with ties
+                # on descending start, so a later run of equal length
+                # has a *lower* start and displaces the incumbent.
                 best_large = run
-        return best_band if best_band is not None else best_large
+        best = best_band if best_band is not None else best_large
+        return None if best is None else Extent(best[1], best[0])
 
     def allocate(self, size: int) -> list[Extent]:
         """Allocate ``size`` bytes, fragmenting only when no run fits.

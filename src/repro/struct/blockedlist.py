@@ -26,23 +26,36 @@ Invariants (checked by :meth:`BlockedList.check`)
   a block emptied by removal is deleted.  Blocks are never rebalanced
   by merging — adjacent small blocks are allowed, matching the
   original freelist behaviour exactly (parity tests depend on it).
-* When augmented, ``sums[i]`` equals ``augment.summarize(blocks[i])``.
+* When augmented, ``sums[i]`` equals ``augment.summarize(blocks[i])``
+  or is stale (``None``).
 
 Augmentation contract
 ---------------------
 An augmentation maintains one summary value per block, incrementally
 where possible:
 
-* ``summarize(block)`` — full O(block) recompute.
+* ``summarize(block)`` — full O(block) recompute of a non-empty
+  block.
 * ``add(summary, weight)`` — summary after a key of ``weight`` joins
-  the block (must always succeed).
+  the block.  It always succeeds on a fresh summary and returns a
+  stale (``None``) one unchanged.
 * ``discard(summary, weight)`` — summary after a key of ``weight``
-  leaves, or ``None`` to request a ``summarize`` rescan.
+  leaves, or ``None`` when only a rescan could tell; a stale summary
+  also stays stale.
+
+The list never rescans on mutation: a ``None`` from ``discard`` (and
+a block split) just marks the block's summary stale.  Readers call
+:meth:`BlockedList.summary`, which rescans a stale block once and
+caches the result, so a block is rescanned at most once per read
+rather than once per mutation — and a workload that never reads
+summaries never rescans.  Pickling refreshes every stale summary
+first, so the pickled form never depends on which ones were stale.
 
 Weights are supplied by the caller on every mutation (so the caller
 can mutate its weight source first), while rescans pull weights
 through the augmentation's own ``weight(key)`` callable — the caller
-must keep that source consistent with the list *before* mutating it.
+must keep that source consistent with the list whenever a summary is
+read.
 :class:`MaxWeightAugmentation` tracks ``(max weight, count attaining
 it)``, which is what lets the free-space index's ``first_fit`` skip
 whole blocks that cannot satisfy a request.
@@ -50,7 +63,8 @@ whole blocks that cannot satisfy a request.
 Complexity of the public methods (n keys, b = #blocks ≈ n / load)
 -----------------------------------------------------------------
 ``insert`` / ``remove`` / ``replace``: O(log n + load), plus O(b) on
-the rare split or block deletion.  ``pred_le`` / ``pred_lt`` /
+the rare split or block deletion.  ``summary``: O(1) when fresh,
+O(load) to rescan a stale block.  ``pred_le`` / ``pred_lt`` /
 ``succ_gt`` / ``first_ge``: O(log n).  ``first`` / ``last`` /
 ``__len__``: O(1).  Iteration: O(n); ``iter_from``: O(log n) to seek
 plus O(1) per key yielded.  Mutating the list during iteration is
@@ -61,7 +75,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterator
-from typing import Any, cast
+from typing import Any, TypeAlias, cast
 
 from repro.errors import CorruptionError
 
@@ -71,13 +85,17 @@ from repro.errors import CorruptionError
 #: keys (measured by ``benchmarks/bench_alloc_micro.py``).
 DEFAULT_LOAD = 256
 
+#: A block summary: ``(max weight, count attaining it)``, or ``None``
+#: when stale.
+Summary: TypeAlias = tuple[int, int] | None
+
 
 class MaxWeightAugmentation:
     """Per-block ``(max weight, count attaining it)`` summary.
 
-    The count lets a removal decrement instead of rescanning when
+    The count lets a removal decrement instead of going stale when
     several keys tie for the maximum; only removing the last maximal
-    key forces an O(block) rescan.  Weights must be positive so the
+    key leaves the summary stale.  Weights must be positive so the
     empty summary ``(0, 0)`` never collides with a real one.
     """
 
@@ -88,18 +106,13 @@ class MaxWeightAugmentation:
         self.weight = weight
 
     def summarize(self, block: list[Any]) -> tuple[int, int]:
-        weight = self.weight
-        mx = 0
-        cnt = 0
-        for key in block:
-            w = weight(key)
-            if w > mx:
-                mx, cnt = w, 1
-            elif w == mx:
-                cnt += 1
-        return mx, cnt
+        ws: list[int] = list(map(self.weight, block))
+        mx = max(ws)
+        return mx, ws.count(mx)
 
-    def add(self, summary: tuple[int, int], weight: int) -> tuple[int, int]:
+    def add(self, summary: Summary, weight: int) -> Summary:
+        if summary is None:
+            return None
         mx, cnt = summary
         if weight > mx:
             return weight, 1
@@ -107,8 +120,9 @@ class MaxWeightAugmentation:
             return mx, cnt + 1
         return summary
 
-    def discard(self, summary: tuple[int, int],
-                weight: int) -> tuple[int, int] | None:
+    def discard(self, summary: Summary, weight: int) -> Summary:
+        if summary is None:
+            return None
         mx, cnt = summary
         if weight == mx:
             if cnt == 1:
@@ -123,7 +137,8 @@ class BlockedList:
     ``blocks``, ``mins``, and ``sums`` are exposed read-only so
     callers can run pruned scans over the directory (the free-space
     index's ``first_fit`` skips blocks whose max-weight summary cannot
-    satisfy a request).  Mutate only through the methods.
+    satisfy a request).  A ``sums`` entry may be stale (``None``);
+    :meth:`summary` refreshes it.  Mutate only through the methods.
     """
 
     __slots__ = ("load", "blocks", "mins", "sums", "augment", "_n")
@@ -135,7 +150,7 @@ class BlockedList:
         self.load = load
         self.blocks: list[list[Any]] = []
         self.mins: list[Any] = []
-        self.sums: list[tuple[int, int]] = []
+        self.sums: list[Summary] = []
         self.augment = augment
         self._n = 0
 
@@ -176,10 +191,9 @@ class BlockedList:
         del block[half:]
         self.blocks.insert(bi + 1, right)
         self.mins.insert(bi + 1, right[0])
-        augment = self.augment
-        if augment is not None:
-            self.sums[bi] = augment.summarize(block)
-            self.sums.insert(bi + 1, augment.summarize(right))
+        if self.augment is not None:
+            self.sums[bi] = None
+            self.sums.insert(bi + 1, None)
 
     def remove(self, key: Any, weight: int | None = None) -> bool:
         """Drop ``key``; False when it was not present."""
@@ -203,10 +217,7 @@ class BlockedList:
             mins[bi] = block[0]
         augment = self.augment
         if augment is not None:
-            summary = augment.discard(self.sums[bi], cast(int, weight))
-            if summary is None:
-                summary = augment.summarize(block)
-            self.sums[bi] = summary
+            self.sums[bi] = augment.discard(self.sums[bi], cast(int, weight))
         return True
 
     def replace(self, old: Any, new: Any, *, old_weight: int | None = None,
@@ -232,10 +243,28 @@ class BlockedList:
         augment = self.augment
         if augment is not None:
             summary = augment.add(self.sums[bi], cast(int, new_weight))
-            summary = augment.discard(summary, cast(int, old_weight))
+            self.sums[bi] = augment.discard(summary, cast(int, old_weight))
+
+    # ------------------------------------------------------------------
+    # Augmentation
+    # ------------------------------------------------------------------
+    def summary(self, bi: int) -> tuple[int, int]:
+        """Block ``bi``'s summary, rescanning and caching it when stale."""
+        summary = self.sums[bi]
+        if summary is None:
+            augment = cast(MaxWeightAugmentation, self.augment)
+            summary = self.sums[bi] = augment.summarize(self.blocks[bi])
+        return summary
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        # Pickle every summary fresh, so a checkpoint's bytes (and the
+        # checkpoint I/O charged for them) do not depend on which
+        # summaries happen to be stale.  The state has the default
+        # ``(None, slots)`` shape of a ``__slots__`` class.
+        for bi, summary in enumerate(self.sums):
             if summary is None:
-                summary = augment.summarize(block)
-            self.sums[bi] = summary
+                self.summary(bi)
+        return None, {name: getattr(self, name) for name in self.__slots__}
 
     # ------------------------------------------------------------------
     # Point queries
@@ -352,7 +381,9 @@ class BlockedList:
             if self.mins[bi] != block[0]:
                 raise CorruptionError(f"{label}: stale block minimum")
             if self.augment is not None:
-                if self.sums[bi] != self.augment.summarize(block):
+                summary = self.sums[bi]
+                if summary is not None and \
+                        summary != self.augment.summarize(block):
                     raise CorruptionError(
                         f"{label}: stale summary at block {bi}"
                     )

@@ -8,6 +8,7 @@ so these tests are the first line of defence for both.
 """
 
 import bisect
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -124,18 +125,19 @@ class TestAugmentation:
         for key, w in [(0, 5), (10, 9), (20, 9), (30, 1)]:
             weights[key] = w
             bl.insert(key, weight=w)
-        assert max(s[0] for s in bl.sums) == 9
+        assert max(bl.summary(i)[0] for i in range(len(bl.blocks))) == 9
         bl.check("aug")
         # Removing one of the tied maxima decrements the count.
         bl.remove(10, weight=9)
         del weights[10]
         bl.check("aug")
-        assert max(s[0] for s in bl.sums) == 9
-        # Removing the last maximum forces a rescan to the next max.
+        assert max(bl.summary(i)[0] for i in range(len(bl.blocks))) == 9
+        # Removing the last maximum leaves the summary stale; reading
+        # it rescans to the next max.
         bl.remove(20, weight=9)
         del weights[20]
         bl.check("aug")
-        assert max(s[0] for s in bl.sums) == 5
+        assert max(bl.summary(i)[0] for i in range(len(bl.blocks))) == 5
 
     def test_replace_updates_summary(self):
         weights = {}
@@ -147,7 +149,55 @@ class TestAugmentation:
         weights[12] = 2
         bl.replace(10, 12, old_weight=7, new_weight=2)
         bl.check("aug-replace")
-        assert bl.sums[0] == (3, 1)
+        assert bl.summary(0) == (3, 1)
+
+    def test_stale_summary_rescanned_once_on_read(self):
+        weights = {}
+        calls = []
+
+        def weight(key):
+            calls.append(key)
+            return weights[key]
+
+        bl = BlockedList(load=4, augment=MaxWeightAugmentation(weight))
+        for key, w in [(0, 3), (10, 7), (20, 5)]:
+            weights[key] = w
+            bl.insert(key, weight=w)
+        del weights[10]
+        weights[11] = 6
+        bl.replace(10, 11, old_weight=7, new_weight=6)
+        bl.remove(20, weight=weights.pop(20))
+        assert bl.sums[0] is None
+        assert calls == []  # mutations never rescan
+        assert bl.summary(0) == (6, 1)
+        assert bl.summary(0) == (6, 1)
+        assert calls == [0, 11]  # one rescan, then cached
+        bl.check("aug-stale")
+
+    def test_pickle_refreshes_stale_summaries(self):
+        weights = {0: 3, 10: 7, 20: 7}
+        bl = BlockedList(load=4, augment=MaxWeightAugmentation(weights.get))
+        for key, w in weights.items():
+            bl.insert(key, weight=w)
+        bl.remove(10, weight=weights.pop(10))
+        bl.remove(20, weight=weights.pop(20))
+        assert bl.sums == [None]
+        data = pickle.dumps(bl)
+        assert bl.sums == [(3, 1)]
+        assert pickle.dumps(bl) == data
+        restored = pickle.loads(data)
+        assert restored.sums == [(3, 1)]
+        assert list(restored) == [0]
+        restored.check("aug-pickle")
+
+    def test_check_rejects_wrong_cached_summary(self):
+        weights = {0: 3, 10: 7}
+        bl = BlockedList(load=4, augment=MaxWeightAugmentation(weights.get))
+        for key, w in weights.items():
+            bl.insert(key, weight=w)
+        bl.sums[0] = (3, 1)
+        with pytest.raises(CorruptionError, match="stale summary"):
+            bl.check("aug-wrong")
 
 
 @st.composite
@@ -200,7 +250,11 @@ def test_blockedlist_matches_sorted_list_model(ops, load):
 ))
 @settings(max_examples=100, deadline=None)
 def test_augmented_summaries_always_fresh(pairs):
-    """Insert/remove churn with weights never leaves a stale summary."""
+    """Insert/remove churn never leaves a wrong summary.
+
+    Cached summaries may go stale (``None``) but never wrong, and
+    ``summary(i)`` always matches a brute-force ``(max, count)``.
+    """
     weights: dict[int, int] = {}
     bl = BlockedList(load=3, augment=MaxWeightAugmentation(weights.get))
     for key, w in pairs:
@@ -209,4 +263,7 @@ def test_augmented_summaries_always_fresh(pairs):
         else:
             weights[key] = w
             bl.insert(key, weight=w)
-        bl.check("aug-model")  # check() recomputes and compares summaries
+        bl.check("aug-model")  # check() compares every cached summary
+        for i, block in enumerate(bl.blocks):
+            ws = [weights[k] for k in block]
+            assert bl.summary(i) == (max(ws), ws.count(max(ws)))
