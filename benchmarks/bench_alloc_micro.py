@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Allocator microbenchmark: tiered vs naive free-space engine.
+"""Allocator microbenchmark: tiered engine vs the naive reference model.
 
 Times the operations every experiment funnels through
 :class:`~repro.alloc.freelist.FreeExtentIndex` — building a fragmented
 free map, mixed alloc/free churn through the repo's allocation entry
 points, and the point queries — at 10^3..10^6 live extents, for both
-the tiered production engine and the flat-list reference model
-(``--index`` ablation twin).  Results go to a machine-readable
-``BENCH_alloc.json`` (schema documented in ``benchmarks/README.md``),
-the repo's first perf-trajectory baseline.
+the tiered engine (``tiered``) and the flat-list reference model the
+parity suites hold it to (``naive``, ``tests/oracles/naive_index.py``).
+Results go to a machine-readable ``BENCH_alloc.json`` (schema
+documented in ``benchmarks/README.md``), the repo's first
+perf-trajectory baseline.
 
 Operation families
 ------------------
@@ -35,13 +36,20 @@ import argparse
 import json
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS, make_free_index
+from repro.alloc.freelist import FreeExtentIndex
 from repro.alloc.policy import FirstFit, allocate_fragmented
 from repro.alloc.runcache import NtfsRunCache
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.naive_index import NaiveFreeExtentIndex  # noqa: E402
+
+#: Engine name -> class; ``naive`` is the test oracle.
+ENGINES = {"tiered": FreeExtentIndex, "naive": NaiveFreeExtentIndex}
 
 #: Byte slot reserved per seeded run; runs are 1..48 bytes long, so
 #: consecutive seeds never touch and the build phase never coalesces.
@@ -61,7 +69,7 @@ def seeded_run(i: int) -> Extent:
 
 
 def build_index(kind: str, n: int):
-    index = make_free_index((n + 1) * SLOT, kind=kind, initially_free=False)
+    index = ENGINES[kind]((n + 1) * SLOT, initially_free=False)
     for i in range(n):
         index.add(seeded_run(i))
     return index
@@ -170,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="small scales only (CI smoke)")
     parser.add_argument("--scales", type=str, default=None,
                         help="comma-separated live-extent counts")
-    parser.add_argument("--kinds", type=str, default=",".join(INDEX_KINDS),
+    parser.add_argument("--kinds", type=str, default=",".join(ENGINES),
                         help="comma-separated engines to measure")
     parser.add_argument("--naive-max", type=int, default=100_000,
                         help="skip the naive engine above this many live "
@@ -184,6 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         scales = QUICK_SCALES if args.quick else DEFAULT_SCALES
     kinds = tuple(args.kinds.split(","))
+    for kind in kinds:
+        if kind not in ENGINES:
+            parser.error(f"unknown engine {kind!r}; choose from "
+                         f"{tuple(ENGINES)}")
 
     rows: list[dict] = []
     for n in scales:

@@ -7,16 +7,17 @@ implementations):
 
 * ``fs_churn`` — sweeps volume sizes, drives the filesystem backend
   through a bulk load plus a delete/rewrite churn loop (the workload
-  shape behind the paper's aging experiments) for both free-space
-  engines.  The naive flat-list engine's per-op cost grows with the
-  free map while the tiered engine stays flat, which is what unlocks
-  multi-hundred-GB volumes and deep aging runs.
+  shape behind the paper's aging experiments).  The tiered free-space
+  engine's per-op cost stays flat as the free map grows, which is what
+  unlocks multi-hundred-GB volumes and deep aging runs.
 * ``segment_store`` — the device's sparse content store, blocked
   (shared :class:`~repro.struct.blockedlist.BlockedList` layout) vs
-  the seed's flat list, under random segment writes then reads.  The
-  flat list pays an O(n) memmove per write; the committed baseline
-  shows the blocked store ≥5× faster at 10^5 segments, which is what
-  makes content-checked aging runs practical beyond test scale.
+  the seed's flat list (the test oracle
+  ``tests/oracles/flat_segments.py``), under random segment writes
+  then reads.  The flat list pays an O(n) memmove per write; the
+  committed baseline shows the blocked store ~5× faster on writes at
+  10^5 segments, which is what makes content-checked aging runs
+  practical beyond test scale.
 * ``batched_writes`` — the same scattered write stream submitted one
   request per call vs scatter/gather batches per
   :meth:`BlockDevice.submit`, reordering off (modelled cost is
@@ -77,8 +78,8 @@ implementations):
   resumed run record must equal the uninterrupted baseline **exactly**
   (every fragmentation/throughput/occupancy sample — the bench raises
   on any divergence).  Reported numbers: checkpoint size and
-  save/resume host time for the tiered and naive engines and a
-  3-shard composite.
+  save/resume host time for a single filesystem volume and a 3-shard
+  composite.
 * ``scenario_matrix`` — every workload (the paper's uniform churn loop
   plus the multi-tenant scenario presets from ``repro/scenario``)
   against every store config in a 4-shard ``queue=event`` family that
@@ -92,7 +93,7 @@ implementations):
   invariant).
 
 Results go to ``BENCH_scale_volume.json`` (schema
-``bench-scale-volume/9``, documented in ``benchmarks/README.md``).
+``bench-scale-volume/10``, documented in ``benchmarks/README.md``).
 
 Usage::
 
@@ -101,7 +102,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale_volume.py \
         --scenarios segment_store --segments 200000
     PYTHONPATH=src python benchmarks/bench_scale_volume.py \
-        --volumes 268435456,1073741824 --index tiered
+        --volumes 268435456,1073741824
 """
 
 from __future__ import annotations
@@ -110,20 +111,22 @@ import argparse
 import json
 import platform
 import random
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from repro.backends.registry import build_store
 from repro.backends.spec import StoreSpec
-from repro.disk.device import (
-    BlockDevice, IoRequest, _FlatSegmentStore, _SegmentStore,
-)
+from repro.disk.device import BlockDevice, IoRequest, _SegmentStore
 from repro.disk.geometry import scaled_disk
 from repro.disk.policy import DevicePolicy
 from repro.alloc.extent import Extent
-from repro.fs.filesystem import FsConfig, SimFilesystem
+from repro.fs.filesystem import SimFilesystem
 from repro.units import KB, MB
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.flat_segments import FlatSegmentStore  # noqa: E402
 
 DEFAULT_VOLUMES = (128 * MB, 512 * MB, 2048 * MB)
 QUICK_VOLUMES = (64 * MB,)
@@ -215,9 +218,9 @@ SCENARIOS = ("fs_churn", "segment_store", "batched_writes",
              "scenario_matrix")
 
 
-def run_volume(kind: str, volume: int, seed: int = 7) -> dict:
+def run_volume(volume: int, seed: int = 7) -> dict:
     device = BlockDevice(scaled_disk(volume))
-    fs = SimFilesystem(device, FsConfig(index_kind=kind))
+    fs = SimFilesystem(device)
     rng = random.Random(seed)
 
     def write_file(name: str) -> None:
@@ -248,7 +251,6 @@ def run_volume(kind: str, volume: int, seed: int = 7) -> dict:
     fs.check_invariants()
     return {
         "scenario": "fs_churn",
-        "index": kind,
         "volume_bytes": volume,
         "files": len(names),
         "build_seconds": round(build_s, 4),
@@ -267,7 +269,7 @@ def run_segment_store(nsegments: int, seed: int = 11) -> list[dict]:
     nreads = min(SEGMENT_READS, nsegments)
     rows = []
     for store_kind, store in (("blocked", _SegmentStore()),
-                              ("flat", _FlatSegmentStore())):
+                              ("flat", FlatSegmentStore())):
         t0 = time.perf_counter()
         for slot in slots:
             store.write(slot * 2 * SEGMENT_BYTES, payload)
@@ -1022,8 +1024,6 @@ def run_checkpoint_resume(volume: int, seed: int = 23) -> list[dict]:
 
     configs = [
         ("tiered", StoreSpec("filesystem", volume_bytes=volume)),
-        ("naive", StoreSpec("filesystem", volume_bytes=volume,
-                            options={"index_kind": "naive"})),
         ("sharded", StoreSpec("filesystem", volume_bytes=volume,
                               shards=3)),
     ]
@@ -1184,8 +1184,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="small volume/segment counts (CI smoke)")
     parser.add_argument("--volumes", type=str, default=None,
                         help="comma-separated volume sizes in bytes")
-    parser.add_argument("--index", type=str, default="tiered,naive",
-                        help="comma-separated engines to measure")
     parser.add_argument("--scenarios", type=str, default=",".join(SCENARIOS),
                         help=f"comma-separated subset of {SCENARIOS}")
     parser.add_argument("--segments", type=int, default=None,
@@ -1205,7 +1203,6 @@ def main(argv: list[str] | None = None) -> int:
         volumes = tuple(int(v) for v in args.volumes.split(","))
     else:
         volumes = QUICK_VOLUMES if args.quick else DEFAULT_VOLUMES
-    kinds = tuple(args.index.split(","))
     scenarios = tuple(args.scenarios.split(","))
     for name in scenarios:
         if name not in SCENARIOS:
@@ -1218,10 +1215,8 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     if "fs_churn" in scenarios:
         for volume in volumes:
-            for kind in kinds:
-                print(f"... fs_churn {kind} @ {volume // MB} MB volume",
-                      flush=True)
-                rows.append(run_volume(kind, volume))
+            print(f"... fs_churn @ {volume // MB} MB volume", flush=True)
+            rows.append(run_volume(volume))
     if "segment_store" in scenarios:
         print(f"... segment_store @ {nsegments} segments", flush=True)
         rows.extend(run_segment_store(nsegments))
@@ -1352,7 +1347,7 @@ def main(argv: list[str] | None = None) -> int:
                 if w != "paper" and c != paper_winner)
 
     report = {
-        "schema": "bench-scale-volume/9",
+        "schema": "bench-scale-volume/10",
         "generated_by": "benchmarks/bench_scale_volume.py",
         "python": platform.python_version(),
         "config": {
@@ -1396,10 +1391,10 @@ def main(argv: list[str] | None = None) -> int:
 
     churn = [r for r in rows if r.get("scenario") == "fs_churn"]
     if churn:
-        print(f"\n{'volume':>10s} {'index':>7s} {'files':>7s} "
+        print(f"\n{'volume':>10s} {'files':>7s} "
               f"{'build s':>8s} {'churn us/op':>12s} {'free runs':>10s}")
         for r in churn:
-            print(f"{r['volume_bytes'] // MB:>8d}MB {r['index']:>7s} "
+            print(f"{r['volume_bytes'] // MB:>8d}MB "
                   f"{r['files']:>7d} {r['build_seconds']:>8.2f} "
                   f"{r['churn_us_per_op']:>12.1f} {r['free_runs']:>10d}")
     if seg:

@@ -53,18 +53,6 @@ def paper_scale() -> bool:
     return "--paper-scale" in sys.argv
 
 
-def index_kind() -> str | None:
-    """The ``--index {tiered,naive}`` allocator ablation flag.
-
-    Returns None (use each config's default, i.e. the tiered engine)
-    when the flag is absent — notably under pytest, where benches run
-    without CLI arguments.  Figure scripts re-run with ``--index naive``
-    to quantify how much of end-to-end throughput the free-space engine
-    contributes.
-    """
-    return _flag_value("--index")
-
-
 def _flag_value(flag: str) -> str | None:
     argv = sys.argv
     for pos, arg in enumerate(argv):
@@ -120,7 +108,7 @@ def run_curve(backend: str, sizes: SizeDistribution, *,
     backend (the curve's backend fills an empty backend part, so
     ``--store :reorder=clook`` applies one policy across a
     multi-backend comparison).  Either way the figure's own knobs —
-    ``fs_config``/``size_hints``/``--index`` for a filesystem,
+    ``fs_config``/``size_hints`` for a filesystem,
     ``db_config`` for a database — fold into the spec's options.
     """
     store_text, shards = store_override()
@@ -136,8 +124,7 @@ def run_curve(backend: str, sizes: SizeDistribution, *,
         spec = replace(spec, shards=shards)
     knobs: dict = {}
     if spec.backend == "filesystem":
-        knobs = {"fs_config": fs_config, "index_kind": index_kind(),
-                 "size_hints": size_hints or None}
+        knobs = {"fs_config": fs_config, "size_hints": size_hints or None}
     elif spec.backend == "database":
         knobs = {"db_config": db_config}
     # Unset knobs leave whatever the spec text says.

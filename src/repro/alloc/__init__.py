@@ -3,20 +3,13 @@
 The malloc literature the paper borrows from (Wilson et al.) separates
 allocation *mechanisms* (how free space is indexed) from *policies* (which
 block a request takes).  This package provides both: an exact, coalescing
-:class:`FreeExtentIndex` mechanism (a tiered O(log n) engine; the flat
-:class:`NaiveFreeExtentIndex` reference model remains available through
-:func:`make_free_index` for parity tests and ablations), the classic
+:class:`FreeExtentIndex` mechanism (a tiered O(log n) engine), the classic
 first/best/worst/next-fit policies, a DTSS-style buddy allocator, and
 the NTFS-style run cache the filesystem substrate uses.
 """
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import (
-    FreeExtentIndex,
-    INDEX_KINDS,
-    make_free_index,
-)
-from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex
 from repro.alloc.policy import (
     AllocationPolicy,
     BestFit,
@@ -33,9 +26,6 @@ from repro.alloc.runcache import NtfsRunCache
 __all__ = [
     "Extent",
     "FreeExtentIndex",
-    "NaiveFreeExtentIndex",
-    "INDEX_KINDS",
-    "make_free_index",
     "AllocationPolicy",
     "FirstFit",
     "BestFit",

@@ -4,9 +4,8 @@
 source of truth about which byte ranges of a volume are free.  Every
 experiment — bulk load, safe-write churn, fragmentation aging — funnels
 through it, so it is engineered as a tiered engine rather than the flat
-sorted lists of the original implementation (preserved as
-:class:`~repro.alloc.naive.NaiveFreeExtentIndex` for parity tests and
-the ``--index naive`` ablation).  Both tiers are instances of the
+sorted lists of the original implementation (kept as the reference
+model ``tests/oracles/naive_index.py``).  Both tiers are instances of the
 shared :class:`~repro.struct.blockedlist.BlockedList` primitive —
 see its module docstring for the block-size bounds, split/merge rules,
 and the augmentation contract:
@@ -47,11 +46,11 @@ filter, plus one O(load) rescan per stale block they reach.
 ``largest_runs(k)`` is O(k) plus one step per empty bucket below the
 top-bucket hint.  ``total_free`` and ``__len__`` are O(1).
 
-The public API and error semantics are identical to the naive engine:
-:class:`~repro.errors.CorruptionError` on double frees or overlapping
-inserts rather than repairing them, because an overlap means the
-caller's accounting diverged.  ``tests/test_prop_freelist.py`` holds
-the two engines to placement-identical answers under random operation
+The public API and error semantics are identical to the reference
+model's: :class:`~repro.errors.CorruptionError` on double frees or
+overlapping inserts rather than repairing them, because an overlap
+means the caller's accounting diverged.  ``tests/test_prop_freelist.py``
+holds the two to placement-identical answers under random operation
 sequences.
 """
 
@@ -61,8 +60,7 @@ import bisect
 from collections.abc import Iterator
 
 from repro.alloc.extent import Extent
-from repro.alloc.naive import NaiveFreeExtentIndex
-from repro.errors import ConfigError, CorruptionError
+from repro.errors import CorruptionError
 from repro.struct.blockedlist import (
     DEFAULT_LOAD, BlockedList, MaxWeightAugmentation,
 )
@@ -70,10 +68,6 @@ from repro.struct.blockedlist import (
 #: Target block size of both tiers; see
 #: :data:`repro.struct.blockedlist.DEFAULT_LOAD` for the trade-off.
 _LOAD = DEFAULT_LOAD
-
-#: Engine names accepted by :func:`make_free_index` (and therefore by
-#: ``FsConfig.index_kind`` / the benches' ``--index`` flag).
-INDEX_KINDS = ("tiered", "naive")
 
 
 class FreeExtentIndex:
@@ -420,20 +414,3 @@ class FreeExtentIndex:
             if self._buckets[b]:
                 raise CorruptionError(f"bucket {b} above the top-bucket hint")
 
-
-def make_free_index(capacity: int, *, kind: str = "tiered",
-                    initially_free: bool = True,
-                    ) -> FreeExtentIndex | NaiveFreeExtentIndex:
-    """Instantiate a free-space engine by name.
-
-    ``tiered`` is the production engine; ``naive`` is the flat-list
-    reference model, exposed so benches and figure scripts can ablate
-    the allocator's contribution (``--index naive``).
-    """
-    if kind == "tiered":
-        return FreeExtentIndex(capacity, initially_free=initially_free)
-    if kind == "naive":
-        return NaiveFreeExtentIndex(capacity, initially_free=initially_free)
-    raise ConfigError(
-        f"unknown free-index kind {kind!r}; choose from {INDEX_KINDS}"
-    )

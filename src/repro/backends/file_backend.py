@@ -13,15 +13,11 @@ of them — the workload is synchronous.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS
 from repro.backends.base import ObjectMeta, StoreStats
 from repro.backends.costmodel import CostModel
 from repro.backends.registry import (
     bool_option,
-    choice_option,
     object_option,
     register_backend,
 )
@@ -189,21 +185,15 @@ class FileBackend:
     "filesystem",
     description="NTFS-like: file per object + metadata database",
     options={
-        "index_kind": choice_option(*INDEX_KINDS),
         "size_hints": bool_option,
         "fs_config": object_option(FsConfig),
     },
 )
 def _filesystem_from_spec(spec: StoreSpec,
                           device: BlockDevice) -> FileBackend:
-    fs_config = spec.option("fs_config")
-    index_kind = spec.option("index_kind")
-    if index_kind is not None:
-        fs_config = replace(fs_config or FsConfig(),
-                            index_kind=index_kind)
     return FileBackend(
         device,
-        fs_config=fs_config,
+        fs_config=spec.option("fs_config"),
         write_request=spec.write_request,
         size_hints=bool(spec.option("size_hints", False)),
     )

@@ -45,17 +45,6 @@ def int_option(value: Any) -> int:
     return int(value)
 
 
-def choice_option(*choices: str) -> Callable[[Any], str]:
-    def convert(value: Any) -> str:
-        text = str(value)
-        if text not in choices:
-            raise ConfigError(
-                f"bad value {text!r}; choose from {choices}"
-            )
-        return text
-    return convert
-
-
 def object_option(kind: type) -> Callable[[Any], Any]:
     """An option holding a config object (programmatic specs only)."""
     def convert(value: Any) -> Any:

@@ -11,7 +11,7 @@ Specs have a flag-friendly text form, used by ``--store``::
 
     lfs
     lfs:reorder=clook,batch=16
-    filesystem:index_kind=naive,size_hints=true
+    filesystem:size_hints=true
     gfs:chunk_size=8M,volume=512M,shards=4,placement=hash
     sharded:overlap=true,parallelism=4
     lfs:shards=4,overlap=true,batch=16,reorder=clook

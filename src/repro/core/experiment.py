@@ -36,7 +36,6 @@ from repro.core.workload import (
     churn_to_age,
 )
 from repro.errors import ConfigError
-from repro.fs.filesystem import FsConfig
 from repro.persist import (
     CheckpointManager,
     cross_check,
@@ -74,10 +73,12 @@ from repro.units import fmt_size
 #: pickled :class:`~repro.scenario.engine.ScenarioState`, samples gain
 #: ``scenario_lat``/``tenant_lat``, ``WindowStats`` gains
 #: ``lat_mean_s``/``tenant_lat``, and ``EventRequest``/``EventWindow``/
-#: ``EventScheduler`` carry tenant-tag state): older checkpoints hash
+#: ``EventScheduler`` carry tenant-tag state; ``/8``: one free-space
+#: engine — the pickled ``FsConfig`` and the config dict both lose
+#: their engine-selector field): older checkpoints hash
 #: differently and must be refused with a schema error, not a config
 #: mismatch.
-CHECKPOINT_SCHEMA = "run-checkpoint/7"
+CHECKPOINT_SCHEMA = "run-checkpoint/8"
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,6 @@ class ExperimentConfig:
         # alone attributes any ablation; the flat store keys derive
         # from it so they cannot disagree with it.
         spec = resolve_spec(self.store)
-        index_kind = None
-        if spec.backend == "filesystem":
-            index_kind = spec.option("index_kind") or \
-                (spec.option("fs_config") or FsConfig()).index_kind
         return {
             "backend": self.store.backend,
             "sizes": str(self.sizes),
@@ -178,7 +175,6 @@ class ExperimentConfig:
             "reads_per_sample": self.reads_per_sample,
             "seed": self.seed,
             "size_hints": bool(spec.option("size_hints", False)),
-            "index_kind": index_kind,
             "rebalance_ages": list(self.rebalance_ages),
             "rebuild_ages": list(self.rebuild_ages),
             "scenario": (self.scenario.to_dict()

@@ -14,12 +14,11 @@ Two arrival modes (:class:`ArrivalSpec`):
 
 * ``closed`` (default) — the driver's dispatch rounds *are* the
   arrivals: every lane of a round enqueues at round-local time zero
-  and the round is simulated with exactly the greedy-LPT placement of
-  :func:`~repro.disk.schedule.round_makespan` (same stable descending
-  sort, same heap operations, same float order), so the accumulated
-  wall time **equals the PR 5 makespan to the float** — the reduction
-  contract the property suite pins.  Queueing shows up only when the
-  ``parallelism`` cap makes lanes wait for a worker.
+  and the round is placed by the round model's own greedy-LPT
+  schedule, :func:`~repro.disk.schedule.round_schedule`, so the
+  accumulated wall time **equals the PR 5 makespan to the float** —
+  the reduction contract the property suite pins.  Queueing shows up
+  only when the ``parallelism`` cap makes lanes wait for a worker.
 * ``poisson:rate=R`` — an open-loop Poisson arrival process
   (deterministic via :func:`repro.rng.substream`) re-times the
   driver's synchronous requests onto a global timeline: arrivals keep
@@ -103,7 +102,9 @@ from contextlib import contextmanager
 from random import Random
 from dataclasses import dataclass, field
 
-from repro.disk.schedule import SchedulerWindow, ShardScheduler
+from repro.disk.schedule import (
+    SchedulerWindow, ShardScheduler, round_schedule,
+)
 from repro.errors import ConfigError
 from repro.rng import substream
 
@@ -480,51 +481,19 @@ class EventScheduler(ShardScheduler):
                              background: bool = False) -> float:
         """Simulate one round in round-local time with LPT placement.
 
-        Replays :func:`~repro.disk.schedule.round_makespan`'s exact
-        operation order — stable descending sort, then either the
-        critical path, the left-to-right serial sum, or the greedy
-        heap — so the accumulated wall time is **bit-identical** to
-        the PR 5 model's, while each lane gains a completion timestamp
-        (its sojourn: lanes all enqueue at round-local zero).
+        :func:`~repro.disk.schedule.round_schedule` is the round model
+        itself, so the accumulated wall time is **bit-identical** to
+        :class:`ShardScheduler`'s, and each lane's completion time is
+        its sojourn (lanes all enqueue at round-local zero).
         """
-        busy = [t for t in lane_times if t > 0.0]
-        if not busy:
+        span, completions = round_schedule(lane_times, self.parallelism)
+        wall = self._account_round(lane_times, span)
+        if wall <= 0.0:
             return 0.0
-        order = sorted(range(len(busy)), key=busy.__getitem__,
-                       reverse=True)
-        workers = self.parallelism if self.parallelism > 0 else len(busy)
-        completions = [0.0] * len(busy)
-        if workers >= len(busy):
-            for i in order:
-                completions[i] = busy[i]
-            frontier = busy[order[0]]
-        elif workers == 1:
-            running = 0.0
-            for i in order:
-                running = running + busy[i]
-                completions[i] = running
-            frontier = running
-        else:
-            loads = [0.0] * workers
-            heapq.heapify(loads)
-            for i in order:
-                load = heapq.heappop(loads) + busy[i]
-                completions[i] = load
-                heapq.heappush(loads, load)
-            frontier = max(loads)
-        wall = frontier + self.dispatch_overhead_s
-        lane_total = sum(t for t in lane_times if t > 0.0)
-        self.rounds += 1
-        self.wall_time_s += wall
-        self.lane_time_s += lane_total
-        for win in self._windows:
-            win.rounds += 1
-            win.wall_time_s += wall
-            win.lane_time_s += lane_total
         # Keep the absolute timeline coherent for mode switches.
         self._charged += wall
-        self.submitted += len(busy)
-        self.completed += len(busy)
+        self.submitted += len(completions)
+        self.completed += len(completions)
         # Closed rounds are synchronous: the active tag at record time
         # is the tag of every lane in the round.
         for sojourn in completions:

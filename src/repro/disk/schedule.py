@@ -27,6 +27,9 @@ dispatches), so a store's overlapped wall time is the sum of its round
 makespans plus an optional fixed per-round dispatch overhead.  For any
 round, ``max(lanes) <= makespan <= sum(lanes)`` — the property suite
 holds :func:`round_makespan` to exactly that envelope.
+:func:`round_schedule` is the one LPT implementation: it also returns
+each lane's completion time, which the event model's closed mode
+(:mod:`repro.disk.events`) records as per-request sojourns.
 
 :class:`ShardScheduler` accumulates rounds and supports named
 measurement windows mirroring :class:`~repro.disk.iostats.IoStats`, so
@@ -44,30 +47,48 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError
 
 
-def round_makespan(lane_times: Sequence[float],
-                   parallelism: int = 0) -> float:
-    """Wall time of one dispatch round's lanes on ``parallelism`` workers.
+def round_schedule(lane_times: Sequence[float], parallelism: int = 0,
+                   ) -> tuple[float, list[float]]:
+    """Greedy-LPT schedule of one dispatch round's lanes.
 
-    Greedy LPT: serve lanes longest-first, each on the least-loaded
+    Returns ``(wall, completions)``: the round's makespan on
+    ``parallelism`` workers, and the round-local completion time of
+    each busy lane (lanes with positive time, in input order).  Lanes
+    are served longest-first (a stable sort), each on the least-loaded
     worker.  ``parallelism <= 0`` means one worker per lane (pure
     critical path).  Zero/negative lane times are idle lanes and are
-    ignored.  Guarantees ``max(lanes) <= makespan <= sum(lanes)``, with
+    ignored.  Guarantees ``max(lanes) <= wall <= sum(lanes)``, with
     equality at ``parallelism >= lanes`` and ``parallelism == 1``
     respectively.
     """
-    lanes = sorted((t for t in lane_times if t > 0.0), reverse=True)
-    if not lanes:
-        return 0.0
-    workers = parallelism if parallelism > 0 else len(lanes)
-    if workers >= len(lanes):
-        return lanes[0]
+    busy = [t for t in lane_times if t > 0.0]
+    if not busy:
+        return 0.0, []
+    workers = parallelism if parallelism > 0 else len(busy)
+    if workers >= len(busy):
+        return max(busy), busy
+    order = sorted(range(len(busy)), key=busy.__getitem__, reverse=True)
+    completions = [0.0] * len(busy)
     if workers == 1:
-        return sum(lanes)
+        running = 0.0
+        for i in order:
+            running += busy[i]
+            completions[i] = running
+        # The serial model is defined as sum(): on Python >= 3.12 its
+        # compensated float sum can differ from the running total.
+        return sum(busy[i] for i in order), completions
     loads = [0.0] * workers
-    heapq.heapify(loads)
-    for lane in lanes:
-        heapq.heappush(loads, heapq.heappop(loads) + lane)
-    return max(loads)
+    for i in order:
+        load = heapq.heappop(loads) + busy[i]
+        completions[i] = load
+        heapq.heappush(loads, load)
+    return max(loads), completions
+
+
+def round_makespan(lane_times: Sequence[float],
+                   parallelism: int = 0) -> float:
+    """The wall time of :func:`round_schedule`."""
+    return round_schedule(lane_times, parallelism)[0]
 
 
 @dataclass(slots=True)
@@ -127,10 +148,20 @@ class ShardScheduler:
         the open-loop arrival process and out of the foreground
         latency windows.
         """
-        wall = round_makespan(lane_times, self.parallelism)
-        if wall <= 0.0:
+        span, _ = round_schedule(lane_times, self.parallelism)
+        return self._account_round(lane_times, span)
+
+    def _account_round(self, lane_times: Sequence[float],
+                       span: float) -> float:
+        """Charge a busy round's ``span`` plus the dispatch overhead to
+        the totals and every open window; returns the charged wall.
+
+        A round with no device work (``span <= 0``) charges nothing,
+        not even the overhead.
+        """
+        if span <= 0.0:
             return 0.0
-        wall += self.dispatch_overhead_s
+        wall = span + self.dispatch_overhead_s
         lane_total = sum(t for t in lane_times if t > 0.0)
         self.rounds += 1
         self.wall_time_s += wall

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS, make_free_index
+from repro.alloc.freelist import FreeExtentIndex
 from repro.disk.device import BlockDevice
 from repro.errors import AllocationError, ConfigError, FsError
 from repro.fs.allocator import FsAllocator
@@ -62,20 +62,12 @@ class FsConfig:
     delayed_allocation: bool = False
     #: Charge device I/O for MFT/journal writes (off simplifies unit tests).
     charge_metadata_io: bool = True
-    #: Free-space engine: "tiered" (production) or "naive" (flat-list
-    #: reference model, for the allocator ablation benches).
-    index_kind: str = "tiered"
 
     def __post_init__(self) -> None:
         if self.cluster_size <= 0:
             raise ConfigError("cluster_size must be positive")
         if self.mft_zone_bytes < self.mft_record_bytes:
             raise ConfigError("MFT zone smaller than one record")
-        if self.index_kind not in INDEX_KINDS:
-            raise ConfigError(
-                f"unknown index_kind {self.index_kind!r}; "
-                f"choose from {INDEX_KINDS}"
-            )
 
 
 class SimFilesystem:
@@ -88,8 +80,7 @@ class SimFilesystem:
         self.data_start = cfg.mft_zone_bytes + cfg.log_bytes
         if self.data_start >= device.geometry.capacity:
             raise ConfigError("volume too small for metadata regions")
-        self.free_index = make_free_index(device.geometry.capacity,
-                                          kind=cfg.index_kind,
+        self.free_index = FreeExtentIndex(device.geometry.capacity,
                                           initially_free=False)
         self.free_index.add(
             Extent(self.data_start,

@@ -4,7 +4,7 @@ The simulation's hot structures live in memory; this package is how
 they survive a process death.  Three layers, lowest first:
 
 * :mod:`repro.persist.snapshot` — versioned, byte-stable binary
-  encodings of the free-extent index (both engines) and the journal's
+  encodings of the free-extent index and the journal's
   recoverable state, each guarded by magic, version, and CRC so a torn
   write is detected rather than mounted.
 * :mod:`repro.persist.delta` — a generic rsync-style binary delta

@@ -6,12 +6,12 @@ recomputes that derivation from first principles — everything is free
 except what some extent map (or reserved region, or in-flight free)
 claims — which gives recovery a second, independent answer to compare a
 restored snapshot against.  :func:`cross_check` is that comparison:
-run-for-run equality, because the engines are placement-identical and
-a single diverging run means torn or partial state.
+run-for-run equality, because a single diverging run means torn or
+partial state.
 
 The rebuild itself doubles as a torn-state detector: reconstructing
 over a double-counted or overlapping extent raises
-:class:`~repro.errors.CorruptionError` from the engine's own overlap
+:class:`~repro.errors.CorruptionError` from the index's own overlap
 checks, which :func:`rebuild_fs_free_index` re-frames as a
 :class:`~repro.errors.SnapshotError`.
 """
@@ -22,18 +22,14 @@ from collections.abc import Iterable
 from typing import Any
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex, make_free_index
-from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex
 from repro.errors import CorruptionError, SnapshotError
-from repro.persist.snapshot import index_kind_of
-
-_FreeIndex = FreeExtentIndex | NaiveFreeExtentIndex
 
 
 def rebuild_free_index(capacity: int, *,
                        allocated: Iterable[Extent],
-                       unavailable: Iterable[Extent] = (),
-                       kind: str = "tiered") -> _FreeIndex:
+                       unavailable: Iterable[Extent] = ()
+                       ) -> FreeExtentIndex:
     """Reconstruct a free index from what is *not* free.
 
     ``allocated`` are live data extents (from extent maps);
@@ -42,7 +38,7 @@ def rebuild_free_index(capacity: int, *,
     orphaned space from lost deletes.  Overlaps between any two inputs
     raise :class:`CorruptionError` — the caller's maps diverged.
     """
-    index = make_free_index(capacity, kind=kind, initially_free=True)
+    index = FreeExtentIndex(capacity)
     for ext in allocated:
         index.remove(ext)
     for ext in unavailable:
@@ -50,7 +46,7 @@ def rebuild_free_index(capacity: int, *,
     return index
 
 
-def rebuild_fs_free_index(fs: Any, *, kind: str | None = None) -> _FreeIndex:
+def rebuild_fs_free_index(fs: Any) -> FreeExtentIndex:
     """Rebuild a :class:`~repro.fs.filesystem.SimFilesystem`'s free index.
 
     Sources: the file table's extent maps (allocated), the metadata
@@ -71,7 +67,6 @@ def rebuild_fs_free_index(fs: Any, *, kind: str | None = None) -> _FreeIndex:
             fs.capacity,
             allocated=(ext for record in fs.table for ext in record.extents),
             unavailable=unavailable,
-            kind=kind or index_kind_of(fs.free_index),
         )
     except CorruptionError as exc:
         raise SnapshotError(
@@ -79,7 +74,7 @@ def rebuild_fs_free_index(fs: Any, *, kind: str | None = None) -> _FreeIndex:
         ) from exc
 
 
-def cross_check(expected: _FreeIndex, actual: _FreeIndex, *,
+def cross_check(expected: FreeExtentIndex, actual: FreeExtentIndex, *,
                 label: str = "free index") -> None:
     """Raise :class:`SnapshotError` unless two indexes agree exactly.
 

@@ -8,16 +8,14 @@ The CRC covers every byte before it, so truncation, bit rot, and torn
 writes all surface as :class:`~repro.errors.SnapshotError` instead of a
 silently wrong free map.  Encodings are **byte-stable**: the same
 logical state always serializes to the same bytes (runs are written in
-address order, the one canonical order both engines iterate in), so
+address order, the index's canonical iteration order), so
 ``encode(decode(blob)) == blob`` and checkpoints diff cleanly.
 
-Free-index snapshots (magic ``RFXS``) record the engine kind so a
-restore defaults to the engine that wrote it, but ``kind=`` can
-override — the engines are placement-identical, so a snapshot taken
-under ``naive`` restores into ``tiered`` (and vice versa) for
-migrations and ablation replays.  Decoding validates the run list
-(ascending, coalesced, inside capacity) and runs the engine's own
-``check_invariants`` before handing the index back.
+Free-index snapshots (magic ``RFXS``) keep an engine byte in their
+header.  There is one engine, so it is always 0; any other value is
+rejected.  Decoding validates the run list (ascending, coalesced,
+inside capacity) and runs the index's own ``check_invariants`` before
+handing the index back.
 
 Journal snapshots (magic ``RJLS``) carry the journal's *recoverable*
 state (:class:`~repro.fs.journal.JournalState`) plus the log geometry
@@ -32,8 +30,7 @@ import struct
 import zlib
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex, make_free_index
-from repro.alloc.naive import NaiveFreeExtentIndex
+from repro.alloc.freelist import FreeExtentIndex
 from repro.errors import SnapshotError
 from repro.fs.journal import Journal, JournalState
 
@@ -43,11 +40,10 @@ SNAPSHOT_VERSION = 1
 _FREE_MAGIC = b"RFXS"
 _JOURNAL_MAGIC = b"RJLS"
 
-#: kind code <-> engine name (codes are part of the on-disk format).
-_KIND_CODES = {"tiered": 0, "naive": 1}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+#: The header's engine byte (part of the on-disk format; one engine).
+_ENGINE_CODE = 0
 
-_FREE_HEADER = struct.Struct("<4sHBBQQ")   # magic, version, kind, pad, capacity, nruns
+_FREE_HEADER = struct.Struct("<4sHBBQQ")   # magic, version, engine, pad, capacity, nruns
 _RUN = struct.Struct("<QQ")                # start, length
 _CRC = struct.Struct("<I")
 _JOURNAL_HEADER = struct.Struct("<4sHxxQQQQIQQII")
@@ -89,16 +85,11 @@ def _expect_size(blob: bytes, expected: int, what: str) -> None:
 # ----------------------------------------------------------------------
 # Free-extent index
 # ----------------------------------------------------------------------
-def index_kind_of(index: FreeExtentIndex | NaiveFreeExtentIndex) -> str:
-    """The factory name of an engine instance."""
-    return "naive" if isinstance(index, NaiveFreeExtentIndex) else "tiered"
-
-
-def encode_free_index(index: FreeExtentIndex | NaiveFreeExtentIndex) -> bytes:
+def encode_free_index(index: FreeExtentIndex) -> bytes:
     """Serialize a free index; same free map -> same bytes."""
     runs = list(index)  # address order: the canonical iteration order
     buf = bytearray(_FREE_HEADER.pack(
-        _FREE_MAGIC, SNAPSHOT_VERSION, _KIND_CODES[index_kind_of(index)], 0,
+        _FREE_MAGIC, SNAPSHOT_VERSION, _ENGINE_CODE, 0,
         index.capacity, len(runs),
     ))
     pack_into = _RUN.pack_into
@@ -110,24 +101,20 @@ def encode_free_index(index: FreeExtentIndex | NaiveFreeExtentIndex) -> bytes:
     return _crc_frame(buf)
 
 
-def decode_free_index(blob: bytes, *, kind: str | None = None,
-                      ) -> FreeExtentIndex | NaiveFreeExtentIndex:
+def decode_free_index(blob: bytes) -> FreeExtentIndex:
     """Rebuild a free index from :func:`encode_free_index` output.
 
-    ``kind`` overrides the engine recorded in the blob (the engines are
-    placement-identical, so cross-engine restores are exact).  The run
-    list is validated structurally — ascending, coalesced, inside
-    capacity — and the engine's own ``check_invariants`` runs before
-    the index is returned.
+    The run list is validated structurally — ascending, coalesced,
+    inside capacity — and the index's own ``check_invariants`` runs
+    before it is returned.
     """
-    magic, version, kind_code, _, capacity, nruns = _open_frame(
+    magic, version, engine, _, capacity, nruns = _open_frame(
         blob, _FREE_MAGIC, _FREE_HEADER, "free-index")
-    if kind_code not in _KIND_NAMES:
-        raise SnapshotError(f"unknown free-index engine code {kind_code}")
+    if engine != _ENGINE_CODE:
+        raise SnapshotError(f"unknown free-index engine code {engine}")
     _expect_size(blob, _FREE_HEADER.size + nruns * _RUN.size + _CRC.size,
                  "free-index")
-    index = make_free_index(capacity, kind=kind or _KIND_NAMES[kind_code],
-                            initially_free=False)
+    index = FreeExtentIndex(capacity, initially_free=False)
     offset = _FREE_HEADER.size
     prev_end = -1
     for _ in range(nruns):

@@ -1,16 +1,12 @@
 """Flat-list reference free-space index (the pre-tiered implementation).
 
 :class:`NaiveFreeExtentIndex` is the original O(n)-per-mutation engine
-kept verbatim as an executable specification.  It exists for two
-reasons:
-
-* **Parity testing** — ``tests/test_prop_freelist.py`` drives it and the
-  tiered :class:`~repro.alloc.freelist.FreeExtentIndex` with identical
-  operation sequences and asserts byte-identical free maps and
-  placement-identical policy answers.
-* **Ablation** — ``benchmarks/paperfig.py`` accepts ``--index naive`` so
-  figure scripts can quantify how much of end-to-end throughput the
-  allocator engine contributes (``FsConfig(index_kind="naive")``).
+kept verbatim as an executable specification of
+:class:`~repro.alloc.freelist.FreeExtentIndex`.  The parity suites
+(``test_prop_freelist.py``, ``test_prop_runcache.py``) drive both with
+identical operation sequences and assert identical free maps and
+placement-identical policy answers; ``benchmarks/bench_alloc_micro.py``
+times it against the shipped engine.
 
 Do not optimise this class; its value is that it is obviously correct.
 Both classes expose the same public API and raise

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import FreeExtentIndex, make_free_index
-from repro.alloc.naive import NaiveFreeExtentIndex
-from repro.errors import ConfigError, CorruptionError
+from repro.alloc.freelist import FreeExtentIndex
+from repro.errors import CorruptionError
 
 
 @pytest.fixture
@@ -166,7 +165,7 @@ class _CountingDict(dict):
     """Dict that counts every bulk traversal of its contents.
 
     Op-count instrumentation for the O(1) accounting regression: the
-    naive engine recomputed ``total_free`` with ``sum(values())`` on
+    flat-list engine recomputed ``total_free`` with ``sum(values())`` on
     every property access, so any traversal during reads is a
     regression.
     """
@@ -213,16 +212,3 @@ class TestIncrementalAccounting:
         assert index.total_free == 4096
         assert index.total_free == sum(e.length for e in index)
 
-
-class TestFactory:
-    def test_make_free_index_kinds(self):
-        assert isinstance(make_free_index(1000), FreeExtentIndex)
-        assert isinstance(make_free_index(1000, kind="tiered"),
-                          FreeExtentIndex)
-        naive = make_free_index(1000, kind="naive", initially_free=False)
-        assert isinstance(naive, NaiveFreeExtentIndex)
-        assert naive.total_free == 0
-
-    def test_make_free_index_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            make_free_index(1000, kind="bitmap")

@@ -3,8 +3,8 @@
 The acceptance bar: an aging run checkpointed mid-way, killed, and
 resumed produces a run record *identical* to the same run uninterrupted
 — every sample (fragmentation metrics, read/write throughput over
-modelled IoStats, occupancy, seek counts), across both free-space
-engines and a 3-shard composite.  Plus the failure half: checkpoints
+modelled IoStats, occupancy, seek counts), on a single volume and a
+3-shard composite.  Plus the failure half: checkpoints
 from a different configuration are refused, torn checkpoints fall back
 to the previous valid one, and a fully torn directory falls back to a
 fresh (still identical) run.
@@ -29,8 +29,6 @@ AGES = (0.0, 1.0, 2.0)
 def config_for(store_kind: str, seed: int = 11) -> ExperimentConfig:
     specs = {
         "tiered": StoreSpec("filesystem", volume_bytes=64 * MB),
-        "naive": StoreSpec("filesystem", volume_bytes=64 * MB,
-                           options={"index_kind": "naive"}),
         "sharded": StoreSpec("filesystem", volume_bytes=96 * MB, shards=3),
     }
     return ExperimentConfig(
@@ -61,7 +59,7 @@ def run_interrupted(config: ExperimentConfig, directory,
 
 
 class TestResumeIdentity:
-    @pytest.mark.parametrize("store_kind", ["tiered", "naive", "sharded"])
+    @pytest.mark.parametrize("store_kind", ["tiered", "sharded"])
     @pytest.mark.parametrize("kill_after_age", [0.0, 1.0])
     def test_killed_and_resumed_equals_uninterrupted(
             self, tmp_path, store_kind, kill_after_age):
@@ -153,12 +151,12 @@ class TestResumeFailureModes:
         ckpt = manager.load_latest()
         # Swap in a *valid* snapshot of a different (empty) free map,
         # rewriting the manifest so digests still verify.
-        from repro.alloc.freelist import make_free_index
+        from repro.alloc.freelist import FreeExtentIndex
         from repro.persist import encode_free_index
         import hashlib as _hashlib
         import json as _json
         alien = encode_free_index(
-            make_free_index(64 * MB, initially_free=False))
+            FreeExtentIndex(64 * MB, initially_free=False))
         (ckpt.path / "free_index-vol0.bin").write_bytes(alien)
         manifest = _json.loads((ckpt.path / "MANIFEST.json").read_text())
         manifest["files"]["free_index-vol0.bin"] = {

@@ -118,6 +118,26 @@ class TestRun:
         assert err == ("repro: error: reads_per_sample must be at "
                        "least 1\n")
 
+    def test_index_kind_is_an_unknown_option(self, capsys, monkeypatch):
+        # There is one free-space engine: selecting one is a config
+        # error, raised before the store is built.
+        import repro.core.experiment as experiment
+
+        def never(*args, **kwargs):
+            raise AssertionError("store built for a bad config")
+
+        monkeypatch.setattr(experiment, "build_store", never)
+        code = main([
+            "run", "--store", "filesystem:index_kind=naive",
+            "--volume", "64M", "--ages", "0,1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert "index_kind" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_storage_full_is_one_line(self, capsys):
         # gfs's 64M chunks leave a 64M volume no room to age into.
         code = main([

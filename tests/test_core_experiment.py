@@ -188,38 +188,19 @@ class TestResults:
 
 
 class TestIndexKindAblation:
-    def test_build_store_honours_index_kind(self):
-        from repro.alloc.freelist import FreeExtentIndex
-        from repro.alloc.naive import NaiveFreeExtentIndex
-        from repro.backends import build_store
-
-        spec = StoreSpec("filesystem", volume_bytes=64 * MB)
-        tiered = build_store(spec)
-        assert isinstance(tiered.fs.free_index, FreeExtentIndex)
-        naive = build_store(spec.with_options(index_kind="naive"))
-        assert isinstance(naive.fs.free_index, NaiveFreeExtentIndex)
+    """The free-space engine is not a setting: ``index_kind`` is an
+    unknown filesystem option and no run record carries it."""
 
     def test_index_kind_validated(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(
-                store=StoreSpec("filesystem",
-                                options={"index_kind": "bitmap"}),
-                sizes=ConstantSize(64 * KB))
+        for value in ("naive", "tiered"):
+            with pytest.raises(ConfigError, match="index_kind"):
+                ExperimentConfig(
+                    store=StoreSpec("filesystem",
+                                    options={"index_kind": value}),
+                    sizes=ConstantSize(64 * KB))
 
     def test_index_kind_in_run_config(self):
-        from repro.fs.filesystem import FsConfig
-
-        def recorded(backend, **options):
-            return ExperimentConfig(
-                store=StoreSpec(backend, options=options),
-                sizes=ConstantSize(64 * KB),
-            ).to_dict()["index_kind"]
-
-        assert recorded("filesystem", index_kind="naive") == "naive"
-        assert recorded("filesystem") == "tiered"
-        # Provenance follows the engine actually instantiated: an
-        # fs_config-selected engine is recorded, and backends that never
-        # touch the index record None rather than a misleading default.
-        assert recorded("filesystem",
-                        fs_config=FsConfig(index_kind="naive")) == "naive"
-        assert recorded("database") is None
+        for backend in ("filesystem", "database"):
+            config = ExperimentConfig(store=StoreSpec(backend),
+                                      sizes=ConstantSize(64 * KB))
+            assert "index_kind" not in config.to_dict()

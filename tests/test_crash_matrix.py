@@ -12,15 +12,14 @@ every crash asserts the paper's deferred-free rule:
     (frees replayed), never a state where an uncommitted free is
     allocatable.
 
-Runs over the tiered engine, the naive reference engine, and a 3-shard
-composite, plus the CheckpointManager's own write path.
+Runs over a single filesystem volume and a 3-shard composite, plus the
+CheckpointManager's own write path.
 """
 
 import pytest
 
 from crashsim import CrashClock, FaultyDevice, kill_point_matrix
 
-from repro.alloc.freelist import INDEX_KINDS
 from repro.backends.file_backend import FileBackend
 from repro.backends.sharded import ShardedStore
 from repro.disk.geometry import scaled_disk
@@ -67,13 +66,10 @@ def recover_and_check(fs: SimFilesystem) -> None:
 
 
 class TestFilesystemKillMatrix:
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_every_kill_point_recovers(self, kind):
+    def test_every_kill_point_recovers(self):
         def build(clock: CrashClock) -> SimFilesystem:
             device = FaultyDevice(scaled_disk(24 * MB), clock=clock)
-            fs = SimFilesystem(
-                device, FsConfig(index_kind=kind, **CRASHY_FS_CONFIG_KWARGS)
-            )
+            fs = SimFilesystem(device, FsConfig(**CRASHY_FS_CONFIG_KWARGS))
             fs.crash_hook = clock.hook  # host-side commit kill points
             return fs
 

@@ -58,7 +58,6 @@ def test_db_config_and_size_hints_reach_the_store_under_store_override(
 def test_spec_text_options_survive_unset_figure_knobs(paperfig,
                                                       monkeypatch):
     monkeypatch.setattr(sys, "argv", [
-        "bench", "--store", "filesystem:index_kind=naive,size_hints=true"])
+        "bench", "--store", "filesystem:size_hints=true"])
     config = _curve(paperfig, "filesystem").config
-    assert config["index_kind"] == "naive"
     assert config["size_hints"] is True

@@ -7,16 +7,18 @@ behaviour.  Crash-driven coverage lives in ``test_crash_matrix.py``.
 """
 
 import random
+import struct
+import zlib
 
 import pytest
 
 from repro.alloc.extent import Extent
-from repro.alloc.freelist import INDEX_KINDS, make_free_index
+from repro.alloc.freelist import FreeExtentIndex
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
 from repro.errors import ConfigError, SnapshotError
-from repro.fs.filesystem import FsConfig, SimFilesystem
-from repro.fs.journal import Journal
+from repro.fs.filesystem import SimFilesystem
+from repro.fs.journal import Journal, JournalState
 from repro.persist import (
     CheckpointManager,
     cross_check,
@@ -29,15 +31,14 @@ from repro.persist import (
     restore_journal,
     verify_journal,
 )
-from repro.persist.snapshot import index_kind_of
 from repro.units import KB, MB
 
 CAPACITY = 64 * MB
 
 
-def churned_index(kind: str, seed: int = 3):
+def churned_index(seed: int = 3) -> FreeExtentIndex:
     """A free index with a few dozen runs from random carves/frees."""
-    index = make_free_index(CAPACITY, kind=kind)
+    index = FreeExtentIndex(CAPACITY)
     rng = random.Random(seed)
     allocated = []
     for _ in range(300):
@@ -56,47 +57,37 @@ def churned_index(kind: str, seed: int = 3):
 
 
 class TestFreeIndexSnapshot:
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_round_trip(self, kind):
-        index = churned_index(kind)
+    def test_round_trip(self):
+        index = churned_index()
         blob = encode_free_index(index)
         restored = decode_free_index(blob)
-        assert index_kind_of(restored) == kind
         assert list(restored) == list(index)
         assert restored.total_free == index.total_free
         assert restored.largest() == index.largest()
 
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_byte_stable(self, kind):
+    def test_byte_stable(self):
         """Same free map -> same bytes; decode/encode is the identity."""
-        index = churned_index(kind)
-        blob = encode_free_index(index)
+        blob = encode_free_index(churned_index())
         assert encode_free_index(decode_free_index(blob)) == blob
 
-    def test_cross_engine_restore(self):
-        tiered = churned_index("tiered")
-        naive = decode_free_index(encode_free_index(tiered), kind="naive")
-        assert index_kind_of(naive) == "naive"
-        cross_check(tiered, naive)
-
     def test_empty_index(self):
-        index = make_free_index(CAPACITY, initially_free=False)
+        index = FreeExtentIndex(CAPACITY, initially_free=False)
         restored = decode_free_index(encode_free_index(index))
         assert len(restored) == 0 and restored.capacity == CAPACITY
 
     def test_truncated_blob_rejected(self):
-        blob = encode_free_index(churned_index("tiered"))
+        blob = encode_free_index(churned_index())
         with pytest.raises(SnapshotError):
             decode_free_index(blob[: len(blob) // 2])
 
     def test_bit_flip_rejected(self):
-        blob = bytearray(encode_free_index(churned_index("tiered")))
+        blob = bytearray(encode_free_index(churned_index()))
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(SnapshotError):
             decode_free_index(bytes(blob))
 
     def test_bad_magic_rejected(self):
-        blob = bytearray(encode_free_index(churned_index("tiered")))
+        blob = bytearray(encode_free_index(churned_index()))
         blob[:4] = b"XXXX"
         with pytest.raises(SnapshotError):
             decode_free_index(bytes(blob))
@@ -105,7 +96,7 @@ class TestFreeIndexSnapshot:
 class TestJournalSnapshot:
     def make_journal(self):
         device = BlockDevice(scaled_disk(16 * MB))
-        index = make_free_index(16 * MB, initially_free=False)
+        index = FreeExtentIndex(16 * MB, initially_free=False)
         return Journal(device, index, log_base=0, log_size=1 * MB,
                        commit_interval_ops=10_000), index
 
@@ -123,7 +114,7 @@ class TestJournalSnapshot:
         journal, _ = self.make_journal()
         blob = encode_journal(journal)
         device = BlockDevice(scaled_disk(16 * MB))
-        index = make_free_index(16 * MB, initially_free=False)
+        index = FreeExtentIndex(16 * MB, initially_free=False)
         other = Journal(device, index, log_base=0, log_size=2 * MB,
                         commit_interval_ops=4)
         with pytest.raises(SnapshotError):
@@ -144,9 +135,74 @@ class TestJournalSnapshot:
             decode_journal_state(blob[:-3])
 
 
-def aged_fs(kind: str = "tiered", seed: int = 5) -> SimFilesystem:
+class TestPinnedSnapshotBytes:
+    """The RFXS/RJLS layouts, pinned byte for byte.
+
+    Checkpoints written by earlier builds must keep decoding, so these
+    blobs are fixed constants rather than round trips: any change to a
+    header field, its width, or the run encoding fails here.
+    """
+
+    FREE_INDEX_HEX = (
+        "52465853" "0100" "00" "00" "0000100000000000" "0400000000000000"
+        "0000000000000000" "0010000000000000"
+        "0000010000000000" "0030000000000000"
+        "00b0040000000000" "0100000000000000"
+        "0000080000000000" "0000080000000000"
+        "695323b7"
+    )
+    JOURNAL_HEX = (
+        "524a4c53" "0100" "0000" "0000400000000000" "0000100000000000"
+        "0010000000000000" "0030000000000000" "01000000"
+        "0500000000000000" "1100000000000000" "01000000" "02000000"
+        "02000000"
+        "0000a00000000000" "0000020000000000"
+        "0000800000000000" "0000010000000000"
+        "0000900000000000" "0010000000000000"
+        "9cef0719"
+    )
+
+    @staticmethod
+    def free_index() -> FreeExtentIndex:
+        index = FreeExtentIndex(1 * MB, initially_free=False)
+        for start, length in ((0, 4 * KB), (64 * KB, 12 * KB),
+                              (300 * KB, 1), (512 * KB, 512 * KB)):
+            index.add(Extent(start, length))
+        return index
+
+    def test_free_index_bytes(self):
+        blob = bytes.fromhex(self.FREE_INDEX_HEX)
+        assert encode_free_index(self.free_index()) == blob
+        assert list(decode_free_index(blob)) == list(self.free_index())
+
+    def test_journal_bytes(self):
+        journal = Journal(BlockDevice(scaled_disk(16 * MB)),
+                          FreeExtentIndex(16 * MB, initially_free=False),
+                          log_base=4 * MB, log_size=1 * MB,
+                          commit_interval_ops=3)
+        state = JournalState(
+            cursor=12 * KB, ops_since_commit=1, buffered_records=2,
+            commits=5, logged_ops=17,
+            pending=(Extent(10 * MB, 128 * KB),),
+            replayable=(Extent(8 * MB, 64 * KB), Extent(9 * MB, 4 * KB)))
+        journal.restore_state(state)
+        blob = bytes.fromhex(self.JOURNAL_HEX)
+        assert encode_journal(journal) == blob
+        assert decode_journal_state(blob)[1] == state
+
+    def test_unknown_engine_byte_rejected(self):
+        """Byte 6 names the engine; only 0 exists.  A blob naming
+        another engine is refused even when its checksum is valid."""
+        body = bytearray(bytes.fromhex(self.FREE_INDEX_HEX)[:-4])
+        body[6] = 1
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(SnapshotError, match="engine"):
+            decode_free_index(blob)
+
+
+def aged_fs(seed: int = 5) -> SimFilesystem:
     device = BlockDevice(scaled_disk(48 * MB))
-    fs = SimFilesystem(device, FsConfig(index_kind=kind))
+    fs = SimFilesystem(device)
     rng = random.Random(seed)
     names = []
     for i in range(40):
@@ -161,12 +217,9 @@ def aged_fs(kind: str = "tiered", seed: int = 5) -> SimFilesystem:
 
 
 class TestRebuild:
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_rebuild_matches_live_index(self, kind):
-        fs = aged_fs(kind)
-        rebuilt = rebuild_fs_free_index(fs)
-        assert index_kind_of(rebuilt) == kind
-        cross_check(rebuilt, fs.free_index)
+    def test_rebuild_matches_live_index(self):
+        fs = aged_fs()
+        cross_check(rebuild_fs_free_index(fs), fs.free_index)
         # ... including while frees are parked in the journal.
         assert fs.journal.pending_free_count >= 0
         fs.journal.commit()

@@ -5,7 +5,8 @@ set partitions the volume — no byte is lost, duplicated, or handed out
 twice — and the internal tiers stay synchronized.
 
 The parity suite additionally drives the tiered engine and the naive
-flat-list reference model (:class:`NaiveFreeExtentIndex`) with
+flat-list reference model (:class:`NaiveFreeExtentIndex`, from
+``oracles/naive_index.py``) with
 identical operation sequences and asserts byte-identical free maps and
 placement-identical policy answers — including the banded ``first_fit``
 edge cases where a free run straddles ``min_start``.
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from oracles.naive_index import NaiveFreeExtentIndex
+
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
-from repro.alloc.naive import NaiveFreeExtentIndex
 
 CAPACITY = 4096
 

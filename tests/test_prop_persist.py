@@ -7,19 +7,17 @@ journal snapshots, cross-checked against each other on the way back).
 The restored store then finishes the stream, and every observable —
 free map, O(1) accounting, key order, per-object extent maps, modelled
 device time and IoStats — must be identical to a store that ran the
-stream uninterrupted.  Both free-space engines are held to this.
+stream uninterrupted.
 """
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.file_backend import FileBackend
 from repro.disk.device import BlockDevice
 from repro.disk.geometry import scaled_disk
-from repro.fs.filesystem import FsConfig
 from repro.persist import (
     cross_check,
     decode_free_index,
@@ -49,12 +47,9 @@ def op_streams(draw):
     return ops, cut
 
 
-def make_store(kind: str) -> FileBackend:
-    return FileBackend(
-        BlockDevice(scaled_disk(VOLUME)),
-        fs_config=FsConfig(index_kind=kind),
-        write_request=64 * KB,
-    )
+def make_store() -> FileBackend:
+    return FileBackend(BlockDevice(scaled_disk(VOLUME)),
+                       write_request=64 * KB)
 
 
 def apply_ops(store: FileBackend, ops) -> None:
@@ -88,15 +83,14 @@ def assert_identical(a: FileBackend, b: FileBackend) -> None:
         assert dev_a.head_position == dev_b.head_position
 
 
-@pytest.mark.parametrize("kind", ["tiered", "naive"])
 @given(stream=op_streams())
 @settings(max_examples=30, deadline=None)
-def test_snapshot_restore_continue_is_identical(kind, stream):
+def test_snapshot_restore_continue_is_identical(stream):
     ops, cut = stream
-    uninterrupted = make_store(kind)
+    uninterrupted = make_store()
     apply_ops(uninterrupted, ops)
 
-    victim = make_store(kind)
+    victim = make_store()
     apply_ops(victim, ops[:cut])
     # The serialization boundary: full state + integrity snapshots.
     state_blob = pickle.dumps(victim)
@@ -115,13 +109,12 @@ def test_snapshot_restore_continue_is_identical(kind, stream):
     restored.fs.check_invariants()
 
 
-@pytest.mark.parametrize("kind", ["tiered", "naive"])
 @given(stream=op_streams())
 @settings(max_examples=15, deadline=None)
-def test_snapshot_is_byte_stable_across_the_boundary(kind, stream):
+def test_snapshot_is_byte_stable_across_the_boundary(stream):
     """Encoding the restored index reproduces the original bytes."""
     ops, cut = stream
-    store = make_store(kind)
+    store = make_store()
     apply_ops(store, ops[:cut])
     blob = encode_free_index(store.fs.free_index)
     assert encode_free_index(decode_free_index(blob)) == blob

@@ -15,9 +15,10 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.naive_index import NaiveFreeExtentIndex
+
 from repro.alloc.extent import Extent
 from repro.alloc.freelist import FreeExtentIndex
-from repro.alloc.naive import NaiveFreeExtentIndex
 from repro.alloc.runcache import NtfsRunCache
 
 #: Grid cell in bytes; every run is a whole number of cells, so runs of

@@ -2,7 +2,7 @@
 
 The scenario engine's whole mutable state — tenant RNGs, key ownership,
 the TTL heap, interval histograms, the arrival-wave cursor — pickles
-inside the run checkpoint (schema ``run-checkpoint/7``).  The
+inside the run checkpoint (schema ``run-checkpoint/7`` and later).  The
 acceptance bar mirrors ``test_checkpoint_resume``: a scenario run
 killed right after a mid-run checkpoint and resumed must reproduce the
 uninterrupted run record *exactly*, including every per-tenant latency

@@ -246,16 +246,6 @@ class TestRunRecords:
                 flat["write_request"], flat["size_hints"]) == \
             ("lfs", 96 * MB, record["write_request"], False)
 
-    def test_effective_index_kind_through_sharded_spec(self):
-        config = ExperimentConfig(
-            store=StoreSpec("filesystem", volume_bytes=96 * MB, shards=3,
-                            options={"index_kind": "naive"}),
-            sizes=_sizes(),
-        )
-        assert config.to_dict()["index_kind"] == "naive"
-        lfs = ExperimentConfig(store=StoreSpec("lfs"), sizes=_sizes())
-        assert lfs.to_dict()["index_kind"] is None
-
     @pytest.mark.parametrize("spec", [
         StoreSpec("filesystem", options={"size_hints": True}),
         StoreSpec("filesystem", shards=3, options={"size_hints": "true"}),

@@ -2,6 +2,7 @@
 
 ``tools.reprolint`` is the project linter (see its package docstring);
 ``tools/check_docs.py`` is the markdown link + rule-catalogue checker.
-Everything in here is stdlib-only and independent of ``repro`` — the
-checks parse source, they never import the simulator.
+Both are stdlib-only and independent of ``repro`` — they parse source,
+they never import the simulator.  ``tools/golden.py`` is the exception:
+it runs the CLI to check and regenerate the golden run records.
 """
